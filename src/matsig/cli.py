@@ -19,14 +19,14 @@ import numpy as np
 
 from .core import (
     ToleranceConfig,
-    inner_product,
     is_orthonormal_set,
     norm_l2,
     norm_m,
+    orthonormality_residual,
     sub,
 )
 from .errors import MatrixSignalError
-from .fileio import family_to_doc, load_family, save_family
+from .fileio import _matrix_to_doc, family_to_doc, load_family, save_family
 from .generate import FAMILY_KINDS, gen_random_family
 from .gramschmidt import expand, orthonormalize, reconstruct
 from .independence import (
@@ -49,9 +49,22 @@ _KIND_CLAIMS = {
 }
 
 
+def _nonnegative(cast):
+    """An argparse type: ``cast(text)``, rejected unless finite and nonnegative."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=float, default=None, help="relative rank tolerance")
-    parser.add_argument("--tol-ortho", type=float, default=None, help="orthogonality tolerance")
+    parser.add_argument("--tol-rank", type=_nonnegative(float), default=None, help="relative rank tolerance")
+    parser.add_argument("--tol-ortho", type=_nonnegative(float), default=None, help="orthogonality tolerance")
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
@@ -62,11 +75,6 @@ def _tolerances(args) -> ToleranceConfig:
     if args.tol_ortho is not None:
         kwargs["ortho_tol"] = args.tol_ortho
     return ToleranceConfig(**kwargs)
-
-
-def _matrix_doc(matrix: np.ndarray) -> list:
-    arr = np.asarray(matrix, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_near = lattice_sub.add_parser("nearest", help="brute-force closest lattice point")
     p_near.add_argument("file")
     p_near.add_argument("--target", required=True, help="signal file; its first signal is the target")
-    p_near.add_argument("--bound", type=int, required=True)
-    p_near.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p_near.add_argument("--bound", type=_nonnegative(int), required=True)
+    p_near.add_argument("--cap", type=_nonnegative(int), default=DEFAULT_ENUMERATION_CAP)
     _add_common(p_near)
     p_near.set_defaults(func=cmd_lattice_nearest)
 
@@ -158,7 +166,7 @@ def cmd_analyze(args) -> int:
         "field": family.field,
         "signals": per_signal,
         "gram_blocks": [
-            [_matrix_doc(bg.blocks[k, l]) for l in range(family.k)] for k in range(family.k)
+            [_matrix_to_doc(bg.blocks[k, l]) for l in range(family.k)] for k in range(family.k)
         ],
         "independence": {
             "independent": report.independent,
@@ -194,14 +202,7 @@ def cmd_orthonormalize(args) -> int:
     result = orthonormalize(family, cfg)
     basis = result.ortho
 
-    ortho_residual = 0.0
-    eye = np.eye(basis.n)
-    for k in range(basis.k):
-        for l in range(k, basis.k):
-            target = eye if k == l else 0.0
-            ortho_residual = max(
-                ortho_residual, float(np.linalg.norm(inner_product(basis[k], basis[l]) - target))
-            )
+    ortho_residual = orthonormality_residual(basis)
     span_residual = 0.0
     for sig in family:
         coeffs = expand(sig, basis, cfg)
@@ -269,24 +270,18 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     bg = block_gram(family)
-    herm_dev = 0.0
-    for k in range(family.k):
-        for l in range(family.k):
-            herm_dev = max(
-                herm_dev,
-                float(np.linalg.norm(bg.blocks[k, l] - bg.blocks[l, k].conj().T)),
-            )
+    herm_dev = float(
+        np.linalg.norm(bg.blocks - bg.blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max()
+    )
     herm_scale = max(1.0, float(np.linalg.norm(bg.assembled)))
     checks.append(
         ("gram_hermitian", herm_dev <= cfg.hermitian_tol * herm_scale, f"deviation {herm_dev:.3e}")
     )
 
-    worst_psd = np.inf
-    for sig in family:
-        gram = inner_product(sig, sig)
-        w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-        floor = cfg.psd_tol * max(1.0, float(np.linalg.norm(gram)))
-        worst_psd = min(worst_psd, float(w[0]) + floor)
+    grams = bg.blocks[np.arange(family.k), np.arange(family.k)]  # self Grams <f_k, f_k>
+    w = np.linalg.eigvalsh((grams + grams.conj().transpose(0, 2, 1)) / 2.0)
+    floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(grams, axis=(1, 2)))
+    worst_psd = float(np.min(w[:, 0] + floors))
     checks.append(("self_gram_psd", worst_psd >= 0.0, f"margin {worst_psd:.3e}"))
 
     equiv_ok = True

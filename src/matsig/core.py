@@ -12,7 +12,9 @@ Orthonormality of the scalar basis collapses the defining integral
 to the exact finite sum  sum_m C_m D_m^H,  so every identity implemented here
 holds to machine precision rather than quadrature precision.  The interval and
 the concrete basis never enter a computation; they are carried only as file
-metadata (see :mod:`matsig.fileio`).
+metadata (see :mod:`matsig.fileio`).  The sum is one block of a product of row
+matrices (``to_rows``), so family-level operations run on the KN x MN matrix R
+of a family's stacked row functions, as one matrix product or factorisation.
 
 All values are immutable after construction and every operation is a pure
 function, so signals and families may be freely shared between threads.
@@ -21,7 +23,7 @@ function, so signals and families may be freely shared between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
     "MatrixSignal",
     "SignalFamily",
     "zero_signal",
+    "to_rows",
+    "from_rows",
     "inner_product",
     "norm_m",
     "norm_l2",
@@ -44,6 +48,7 @@ __all__ = [
     "scale",
     "linear_combination",
     "is_orthogonal_b",
+    "orthonormality_residual",
     "is_orthonormal_set",
 ]
 
@@ -144,9 +149,21 @@ def zero_signal(n: int, m: int, field: str = "real") -> MatrixSignal:
     return MatrixSignal(np.zeros(shape, dtype=dtype), field=field)
 
 
+def _member(coeffs: np.ndarray, field: str) -> MatrixSignal:
+    """A signal over an already-typed, read-only array, without the constructor's copy."""
+    sig = object.__new__(MatrixSignal)
+    object.__setattr__(sig, "coeffs", coeffs)
+    object.__setattr__(sig, "field", field)
+    return sig
+
+
 @dataclass(frozen=True, eq=False)
 class SignalFamily:
-    """An ordered set of K signals sharing the same N and M."""
+    """An ordered set of K signals sharing the same N and M.
+
+    The coefficients are stored once, as one read-only (K, M, N, N) stack; the
+    members are views into it.
+    """
 
     signals: tuple[MatrixSignal, ...]
 
@@ -162,7 +179,13 @@ class SignalFamily:
                 raise DimensionMismatchError(
                     f"signals[{idx}] has (n, m)=({sig.n}, {sig.m}), expected ({n}, {m})"
                 )
-        object.__setattr__(self, "signals", signals)
+        stack = _freeze(np.stack([sig.coeffs for sig in signals]))
+        members = tuple(
+            _member(stack[idx] if sig.coeffs.dtype == stack.dtype else stack[idx].real, sig.field)
+            for idx, sig in enumerate(signals)
+        )
+        object.__setattr__(self, "signals", members)
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def from_coeffs(cls, coeffs, field: str | None = None) -> "SignalFamily":
@@ -180,20 +203,20 @@ class SignalFamily:
 
     @property
     def n(self) -> int:
-        return self.signals[0].n
+        return self._stack.shape[2]
 
     @property
     def m(self) -> int:
-        return self.signals[0].m
+        return self._stack.shape[1]
 
     @property
     def field(self) -> str:
-        return "real" if all(s.field == "real" for s in self.signals) else "complex"
+        return "real" if self._stack.dtype == np.float64 else "complex"
 
     @property
     def coeffs_array(self) -> np.ndarray:
-        """All coefficients stacked into one (K, M, N, N) array."""
-        return np.stack([s.coeffs for s in self.signals])
+        """The family's read-only (K, M, N, N) coefficient stack."""
+        return self._stack
 
     def __len__(self) -> int:
         return self.k
@@ -206,6 +229,20 @@ class SignalFamily:
 
     def __repr__(self):
         return f"SignalFamily(k={self.k}, n={self.n}, m={self.m}, field={self.field!r})"
+
+
+def to_rows(coeffs: np.ndarray) -> np.ndarray:
+    """N x MN rows of a (M, N, N) signal, or KN x MN rows R of a (K, M, N, N) stack.
+
+    Row i of a signal concatenates row i of its M coefficients, so <f_k, f_l> = R_k R_l^H.
+    """
+    m, n = coeffs.shape[-3], coeffs.shape[-1]
+    return coeffs.swapaxes(-3, -2).reshape(-1, m * n)
+
+
+def from_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``to_rows``: a KN x MN matrix back to its (K, M, N, N) stack."""
+    return rows.reshape(-1, n, rows.shape[1] // n, n).swapaxes(1, 2)
 
 
 def _check_same_shape(f: MatrixSignal, g: MatrixSignal) -> None:
@@ -222,7 +259,7 @@ def inner_product(f: MatrixSignal, g: MatrixSignal) -> np.ndarray:
     positive semidefinite up to floating-point roundoff.
     """
     _check_same_shape(f, g)
-    return np.einsum("mil,mjl->ij", f.coeffs, g.coeffs.conj())
+    return to_rows(f.coeffs) @ to_rows(g.coeffs).conj().T
 
 
 def norm_m(f: MatrixSignal) -> float:
@@ -290,7 +327,8 @@ def linear_combination(fam: SignalFamily, coeffs) -> MatrixSignal:
             f"expected coefficient stack of shape ({fam.k}, {fam.n}, {fam.n}), "
             f"got {arr.shape}"
         )
-    return MatrixSignal(np.einsum("kij,kmjl->mil", arr, fam.coeffs_array))
+    # [A_1 ... A_K] (N x KN) times R (KN x MN) is the combination's N x MN row matrix
+    return MatrixSignal(from_rows(to_rows(arr) @ to_rows(fam.coeffs_array), fam.n)[0])
 
 
 def is_orthogonal_b(f: MatrixSignal, g: MatrixSignal, tol: float = DEFAULT_TOLERANCES.ortho_tol) -> bool:
@@ -302,13 +340,14 @@ def is_orthogonal_b(f: MatrixSignal, g: MatrixSignal, tol: float = DEFAULT_TOLER
     return bool(np.linalg.norm(gram) <= tol * max(1.0, norm_m(f) * norm_m(g)))
 
 
+def orthonormality_residual(family: SignalFamily) -> float:
+    """max over k <= l of ||<Phi_k, Phi_l> - delta(k - l) I_N||_F, from one product R R^H."""
+    k, n = family.k, family.n
+    rows = to_rows(family.coeffs_array)
+    deviation = (rows @ rows.conj().T - np.eye(k * n)).reshape(k, n, k, n)
+    return float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
+
+
 def is_orthonormal_set(family: SignalFamily, tol: float = DEFAULT_TOLERANCES.ortho_tol) -> bool:
     """True when <Phi_k, Phi_l> = delta(k - l) I_N for all pairs, within tol."""
-    eye = np.eye(family.n)
-    for k in range(family.k):
-        for l in range(k, family.k):
-            gram = inner_product(family[k], family[l])
-            target = eye if k == l else 0.0
-            if np.linalg.norm(gram - target) > tol:
-                return False
-    return True
+    return orthonormality_residual(family) <= tol

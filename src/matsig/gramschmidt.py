@@ -11,10 +11,17 @@ residuals f^_k together with their mu coefficients
 
     f^_k = f_k - sum_{l<k} mu[l, k] f^_l,   mu[l, k] = <f_k, f^_l> <f^_l, f^_l>^{-1}.
 
-Each step must invert the residual's Gram matrix, so a degenerate residual is
-detected immediately and reported as DegenerateStepError: that failure mode is
-precisely what it means for the input family to be linearly dependent, and no
-silently non-orthonormal output can escape.
+Both come from one Householder QR factorisation R^H = Q^H L^H of the family's
+KN x MN row matrix R (row block k holds f_k), i.e. R = L Q with L lower
+block-triangular and Q with orthonormal rows.  Then f^_k = L_kk Q_k,
+mu[l, k] = L_kl L_ll^{-1}, and g_k = polar(L_kk) Q_k with polar(L) = U V^H from
+the SVD L = U S V^H: exactly the classical output, with the backward stability
+of Householder QR, so no reorthogonalization pass is needed.
+
+Each step inverts its residual Gram L_kk L_kk^H, so a degenerate residual is
+reported as DegenerateStepError at its step: that failure mode is precisely
+what it means for the input family to be linearly dependent, and no silently
+non-orthonormal output can escape.
 """
 
 from __future__ import annotations
@@ -28,10 +35,12 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    from_rows,
     inner_product,
     is_orthonormal_set,
-    left_mul,
-    sub,
+    linear_combination,
+    orthonormality_residual,
+    to_rows,
 )
 from .errors import (
     BasisNotOrthonormalError,
@@ -57,8 +66,8 @@ class GramSchmidtResult:
     In "orthogonalize" mode ``mu`` holds the (K, K, N, N) coefficient table
     with mu[l, k] filled for l < k, and ``step_norms[k]`` is the signal norm of
     the k-th residual; both are None in "orthonormalize" mode.
-    ``reorthogonalized`` records whether a second pass was needed to reach the
-    orthonormality tolerance.
+    ``reorthogonalized`` is always False, as the QR construction needs no
+    second pass; it stays for the callers and files that record it.
     """
 
     ortho: SignalFamily
@@ -68,98 +77,60 @@ class GramSchmidtResult:
     reorthogonalized: bool = False
 
 
-def _residual_eigh(gram: np.ndarray, anchor: float, step: int, cfg: ToleranceConfig):
-    """Eigendecomposition of a residual Gram, rejecting degenerate steps.
+def _factor(fam: SignalFamily, cfg: ToleranceConfig):
+    """R, the (K, N, K, N) blocks of L, Q, and polar factors and singular values of L_kk.
 
-    The degeneracy threshold is anchored to the scale of the *unprojected*
-    signal: a residual that cancelled to roundoff has a tiny but well-shaped
-    spectrum of its own, and only the outside anchor exposes it.
+    Step k is degenerate when sigma_min(L_kk)^2 <= rank_rel_tol *
+    max(sigma_max(L_kk)^2, ||<f_k, f_k>||_F).  The anchor is the scale of the
+    *unprojected* signal: a residual that cancelled to roundoff has a tiny but
+    well-shaped spectrum of its own, and only the outside anchor exposes it.
+    With M < K the rows span at most MN dimensions, so step M is degenerate.
     """
-    sym = (gram + gram.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    reference = max(float(w[-1]), anchor)
-    if reference <= 0.0 or w[0] <= cfg.rank_rel_tol * reference:
-        raise DegenerateStepError(step)
-    return w, v
-
-
-def _orthonormal_pass(signals, cfg: ToleranceConfig):
-    out: list[MatrixSignal] = []
-    for k, f in enumerate(signals):
-        residual = f
-        for g in out:
-            residual = sub(residual, left_mul(inner_product(f, g), g))
-        gram = inner_product(residual, residual)
-        anchor = float(np.linalg.norm(inner_product(f, f)))
-        w, v = _residual_eigh(gram, anchor, k, cfg)
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        out.append(left_mul(inv_sqrt, residual))
-    return out
-
-
-def _max_orthonormality_residual(signals) -> float:
-    eye = np.eye(signals[0].n)
-    worst = 0.0
-    for k in range(len(signals)):
-        for l in range(k, len(signals)):
-            gram = inner_product(signals[k], signals[l])
-            target = eye if k == l else 0.0
-            worst = max(worst, float(np.linalg.norm(gram - target)))
-    return worst
+    k, n, steps = fam.k, fam.n, min(fam.k, fam.m)
+    rows = to_rows(fam.coeffs_array)
+    q, upper = np.linalg.qr(rows.conj().T)
+    lower = upper.conj().T.reshape(k, n, steps, n)
+    u, s, vh = np.linalg.svd(lower[np.arange(steps), :, np.arange(steps), :])
+    members = rows.reshape(k, n, -1)[:steps]
+    anchors = np.linalg.norm(members @ members.conj().transpose(0, 2, 1), axis=(1, 2))
+    passed = s[:, -1] ** 2 > cfg.rank_rel_tol * np.maximum(s[:, 0] ** 2, anchors)
+    if not passed.all():
+        raise DegenerateStepError(int(np.argmin(passed)))
+    if steps < k:
+        raise DegenerateStepError(steps)
+    return rows, lower, q.conj().T, u @ vh, s
 
 
 def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> GramSchmidtResult:
     """Turn a linearly independent family into an orthonormal one.
 
-    The classical recursion runs once; if the pairwise residual exceeds
-    ortho_tol a single re-pass over the output is applied (twice is enough)
-    and recorded in the result.
+    Output k is polar(L_kk) Q_k, the classical g_k = <g^_k, g^_k>^{-1/2} g^_k.
+    An output failing the orthonormal-set test at ortho_tol raises MatrixSignalError.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    out = _orthonormal_pass(fam.signals, cfg)
-    reorthogonalized = False
-    if _max_orthonormality_residual(out) > cfg.ortho_tol:
-        out = _orthonormal_pass(out, cfg)
-        reorthogonalized = True
-        residual = _max_orthonormality_residual(out)
-        if residual > cfg.ortho_tol:
-            raise MatrixSignalError(
-                f"orthonormalization failed to converge: residual {residual:.3e}"
-            )
-    return GramSchmidtResult(
-        ortho=SignalFamily(tuple(out)),
-        mu=None,
-        step_norms=None,
-        mode="orthonormalize",
-        reorthogonalized=reorthogonalized,
-    )
+    _, _, q, polar, _ = _factor(fam, cfg)
+    rows = (polar @ q.reshape(fam.k, fam.n, -1)).reshape(q.shape)
+    ortho = SignalFamily.from_coeffs(from_rows(rows, fam.n), field=fam.field)
+    residual = orthonormality_residual(ortho)
+    if not residual <= cfg.ortho_tol:
+        raise MatrixSignalError(f"orthonormalization failed: residual {residual:.3e}")
+    return GramSchmidtResult(ortho=ortho, mu=None, step_norms=None, mode="orthonormalize")
 
 
 def orthogonalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> GramSchmidtResult:
     """Pairwise-orthogonalize without normalizing, returning the mu table."""
     cfg = cfg or DEFAULT_TOLERANCES
-    k_total, n = fam.k, fam.n
-    dtype = np.float64 if fam.field == "real" else np.complex128
-    mu = np.zeros((k_total, k_total, n, n), dtype=dtype)
-    step_norms = np.zeros(k_total)
-    residuals: list[MatrixSignal] = []
-    inverses: list[np.ndarray] = []
-    for k, f in enumerate(fam.signals):
-        residual = f
-        for l in range(k):
-            coeff = inner_product(f, residuals[l]) @ inverses[l]
-            mu[l, k] = coeff
-            residual = sub(residual, left_mul(coeff, residuals[l]))
-        gram = inner_product(residual, residual)
-        anchor = float(np.linalg.norm(inner_product(f, f)))
-        w, v = _residual_eigh(gram, anchor, k, cfg)
-        inverses.append((v / w) @ v.conj().T)
-        residuals.append(residual)
-        step_norms[k] = np.sqrt(np.linalg.norm(gram))
+    rows, lower, q, _, s = _factor(fam, cfg)
+    k, n = fam.k, fam.n
+    earlier = np.arange(k)[:, None] < np.arange(k)  # earlier[l, k]: step l precedes step k
+    strict = np.where(earlier.T[:, None, :, None], lower, 0.0).reshape(k * n, k * n)
+    residuals = rows - strict @ q  # block row 0 of strict is zero, so f^_1 = f_1 exactly
+    inverses = np.linalg.inv(lower[np.arange(k), :, np.arange(k), :])
+    mu = np.where(earlier[:, :, None, None], lower.transpose(2, 0, 1, 3) @ inverses[:, None], 0.0)
     return GramSchmidtResult(
-        ortho=SignalFamily(tuple(residuals)),
+        ortho=SignalFamily.from_coeffs(from_rows(residuals, n), field=fam.field),
         mu=mu,
-        step_norms=step_norms,
+        step_norms=np.sqrt(np.linalg.norm(s**2, axis=1)),
         mode="orthogonalize",
     )
 
@@ -175,18 +146,13 @@ def expand(
         )
     if not is_orthonormal_set(basis, cfg.ortho_tol):
         raise BasisNotOrthonormalError("expansion basis fails the orthonormal-set test")
-    return np.stack([inner_product(f, phi) for phi in basis])
+    # R_f R_basis^H is the N x KN row [<f, Phi_1> ... <f, Phi_K>]
+    return from_rows(to_rows(f.coeffs) @ to_rows(basis.coeffs_array).conj().T, basis.n)[0]
 
 
 def reconstruct(coeffs, basis: SignalFamily) -> MatrixSignal:
     """sum_k F_k Phi_k from expansion coefficients."""
-    arr = np.asarray(coeffs)
-    if arr.shape != (basis.k, basis.n, basis.n):
-        raise DimensionMismatchError(
-            f"expected coefficients of shape ({basis.k}, {basis.n}, {basis.n}), "
-            f"got {arr.shape}"
-        )
-    return MatrixSignal(np.einsum("kij,kmjl->mil", arr, basis.coeffs_array))
+    return linear_combination(basis, coeffs)
 
 
 def parseval_residual(

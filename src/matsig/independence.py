@@ -31,6 +31,7 @@ from .core import (
     inner_product,
     linear_combination,
     norm_m,
+    to_rows,
 )
 from .errors import DimensionMismatchError
 from .linalg import null_space_basis, null_space_included, rank_tol
@@ -75,8 +76,7 @@ def row_function_matrix(f: MatrixSignal) -> np.ndarray:
     Row i is the coefficient vector of the i-th row function of f over the
     scalar basis, so <f, f> equals R @ R^H exactly.
     """
-    m, n = f.m, f.n
-    return np.transpose(f.coeffs, (1, 0, 2)).reshape(n, m * n)
+    return to_rows(f.coeffs)
 
 
 def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig | None = None) -> bool:
@@ -102,11 +102,10 @@ def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig | None = None)
 
 
 def block_gram(fam: SignalFamily) -> BlockGram:
-    coeffs = fam.coeffs_array
-    blocks = np.einsum("kmil,qmjl->kqij", coeffs, coeffs.conj())
-    k, n = fam.k, fam.n
-    assembled = blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
-    return BlockGram(blocks, assembled)
+    """All pairwise inner products, as the one product R R^H of the KN x MN row matrix."""
+    rows = to_rows(fam.coeffs_array)
+    assembled = rows @ rows.conj().T
+    return BlockGram(assembled.reshape(fam.k, fam.n, fam.k, fam.n).swapaxes(1, 2), assembled)
 
 
 def is_linearly_independent(

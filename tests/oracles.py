@@ -2,7 +2,8 @@
 
 The scalar basis is made concrete here: orthonormalized Legendre polynomials
 on (-1, 1).  Signals are synthesized pointwise on a Gauss-Legendre grid and
-integrated by quadrature.  Nothing below shares code with the package
+integrated by quadrature.  The Gram-Schmidt oracle runs the classical block
+recursion signal by signal.  Nothing below shares code with the package
 internals, so agreement is a genuine two-route check.
 """
 
@@ -60,3 +61,41 @@ def quadrature_block_gram(family_coeffs, points: int = 4096) -> np.ndarray:
     values = np.stack([synthesize(arr[j], t) for j in range(k)])
     rows = values.transpose(0, 2, 1, 3).reshape(k * n, t.size, n)
     return np.einsum("p,apl,bpl->ab", w, rows, rows.conj())
+
+
+def classical_block_gram_schmidt(family_coeffs, rank_rel_tol: float = 1e-10):
+    """Classical matrix-coefficient Gram-Schmidt of a (K, M, N, N) family.
+
+    Runs f^_k = f_k - sum_{l<k} mu[l, k] f^_l with mu[l, k] = <f_k, f^_l>
+    <f^_l, f^_l>^{-1}, and normalizes g_k = <f^_k, f^_k>^{-1/2} f^_k.  Step k is
+    degenerate when the smallest eigenvalue of <f^_k, f^_k> is at most
+    rank_rel_tol times the larger of its largest one and ||<f_k, f_k>||_F.
+    Returns (ortho, residuals, mu, step_norms, None), or (None, None, None,
+    None, k) when step k is the first degenerate one.
+    """
+    arr = np.asarray(family_coeffs, dtype=complex)
+    k_total, _, n, _ = arr.shape
+
+    def inner(f, g):
+        return np.einsum("mil,mjl->ij", f, g.conj())
+
+    ortho = np.empty_like(arr)
+    residuals = np.empty_like(arr)
+    mu = np.zeros((k_total, k_total, n, n), dtype=complex)
+    step_norms = np.zeros(k_total)
+    inverse_grams = []
+    for k in range(k_total):
+        hat = arr[k].copy()
+        for l in range(k):
+            mu[l, k] = inner(arr[k], residuals[l]) @ inverse_grams[l]
+            hat -= np.einsum("ij,mjl->mil", mu[l, k], residuals[l])
+        gram = inner(hat, hat)
+        w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+        anchor = np.linalg.norm(inner(arr[k], arr[k]))
+        if not w[0] > rank_rel_tol * max(w[-1], anchor):
+            return None, None, None, None, k
+        residuals[k] = hat
+        inverse_grams.append((v / w) @ v.conj().T)
+        ortho[k] = np.einsum("ij,mjl->mil", (v / np.sqrt(w)) @ v.conj().T, hat)
+        step_norms[k] = np.sqrt(np.linalg.norm(gram))
+    return ortho, residuals, mu, step_norms, None

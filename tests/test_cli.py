@@ -176,3 +176,29 @@ def test_analyze_text_output(tmp_path, capsys):
     assert code == 0
     assert "degenerate=True" in out
     assert "independent=False" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "-1"),
+        ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "two"),
+        ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "1", "--cap", "0"),
+        ("analyze", "{basis}", "--tol-rank", "-1"),
+        ("analyze", "{basis}", "--tol-rank", "nan"),
+        ("verify", "{basis}", "--tol-ortho", "-0.001"),
+        ("verify", "{basis}", "--tol-ortho", "inf"),
+    ],
+)
+def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):
+    basis = tmp_path / "basis.json"
+    run(capsys, "gen", "--seed", "4", "--n", "1", "--m", "3", "--k", "2",
+        "--kind", "independent", "--field", "real", "-o", str(basis))
+    try:
+        code = main([arg.format(basis=basis) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "error:" in err

@@ -5,6 +5,7 @@ import pytest
 
 import matsig as ms
 from helpers import random_family, random_matrix, random_signal
+from oracles import classical_block_gram_schmidt
 
 
 def test_single_signal_normalization():
@@ -211,8 +212,8 @@ def test_real_family_keeps_real_output():
 
 def test_reorthogonalization_recovers_ill_conditioned_family():
     # nearly parallel signals lose orthogonality under one classical pass;
-    # tightened tolerances let them through the degeneracy gate and force
-    # the recorded second pass
+    # tightened tolerances let them through the degeneracy gate, and the
+    # Householder QR construction reaches the tight tolerance in one pass
     rng = np.random.default_rng(17)
     f1 = ms.MatrixSignal(rng.standard_normal((4, 2, 2)))
     bump = ms.MatrixSignal(rng.standard_normal((4, 2, 2)))
@@ -221,8 +222,11 @@ def test_reorthogonalization_recovers_ill_conditioned_family():
     family = ms.SignalFamily((f1, f2, f3))
     cfg = ms.ToleranceConfig(rank_rel_tol=1e-15, ortho_tol=1e-13)
     result = ms.orthonormalize(family, cfg)
-    assert result.reorthogonalized
+    assert not result.reorthogonalized
     assert ms.is_orthonormal_set(result.ortho, tol=1e-13)
+    for f in family:
+        rebuilt = ms.reconstruct(ms.expand(f, result.ortho, cfg), result.ortho)
+        assert ms.norm_m(ms.sub(f, rebuilt)) <= 1e-12 * ms.norm_m(f)
 
 
 def test_orthonormalize_500_random_families():
@@ -233,3 +237,55 @@ def test_orthonormalize_500_random_families():
         family = ms.gen_random_family(int(rng.integers(10_000)), n, k + 2, k, "independent")
         result = ms.orthonormalize(family)
         assert ms.is_orthonormal_set(result.ortho, tol=1e-9)
+
+
+def _relative_error(value, reference):
+    return np.linalg.norm(np.asarray(value) - reference) / np.linalg.norm(reference)
+
+
+def test_matches_classical_gram_schmidt_oracle():
+    worst = 0.0
+    for field in ("real", "complex"):
+        for n in (1, 2, 4):
+            for m, k in [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3)]:
+                seed = 100 * n + 10 * m + k
+                family = ms.gen_random_family(seed, n, m, k, "independent", field=field)
+                ortho, residuals, mu, step_norms, bad = classical_block_gram_schmidt(
+                    family.coeffs_array
+                )
+                assert bad is None
+                on = ms.orthonormalize(family)
+                og = ms.orthogonalize(family)
+                errors = [
+                    _relative_error(on.ortho.coeffs_array, ortho),
+                    _relative_error(og.ortho.coeffs_array, residuals),
+                    _relative_error(og.step_norms, step_norms),
+                ]
+                if k > 1:
+                    errors.append(_relative_error(og.mu, mu))
+                worst = max(worst, *errors)
+    assert worst <= 1e-10
+
+
+def test_degenerate_step_matches_classical_oracle():
+    rng = np.random.default_rng(19)
+    families = []
+    for field in ("real", "complex"):
+        for n in (1, 2, 4):
+            seed, other = (int(x) for x in rng.integers(10_000, size=2))
+            families.append((ms.gen_random_family(seed, n, 4, 3, "dependent", field=field), 1))
+            base = ms.gen_random_family(other, n, 5, 4, "independent", field=field)
+            third = ms.linear_combination(
+                ms.SignalFamily(base.signals[:2]),
+                np.stack([random_matrix(rng, n, field) for _ in range(2)]),
+            )
+            families.append((ms.SignalFamily((base[0], base[1], third, base[3])), 2))
+    # more members than coefficients: step M is the first degenerate one
+    families.append((ms.SignalFamily.from_coeffs(rng.standard_normal((4, 2, 2, 2))), 2))
+    for family, step in families:
+        expected = classical_block_gram_schmidt(family.coeffs_array)[4]
+        assert expected == step
+        for algorithm in (ms.orthonormalize, ms.orthogonalize):
+            with pytest.raises(ms.DegenerateStepError) as err:
+                algorithm(family)
+            assert err.value.step == expected
