@@ -12,7 +12,6 @@ orthonormal basis file flips its exit code to 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from .core import (
     sub,
 )
 from .errors import MatrixSignalError
-from .fileio import _matrix_to_doc, family_to_doc, load_family, save_family
+from .fileio import encode_array, family_to_doc, load_family, save_family, write_json
 from .generate import FAMILY_KINDS, gen_random_family
 from .gramschmidt import expand, orthonormalize, reconstruct
 from .independence import (
@@ -165,9 +164,7 @@ def cmd_analyze(args) -> int:
         "k": family.k,
         "field": family.field,
         "signals": per_signal,
-        "gram_blocks": [
-            [_matrix_to_doc(bg.blocks[k, l]) for l in range(family.k)] for k in range(family.k)
-        ],
+        "gram_blocks": encode_array(bg.blocks),
         "independence": {
             "independent": report.independent,
             "block_gram_rank": report.block_gram_rank,
@@ -178,8 +175,7 @@ def cmd_analyze(args) -> int:
         "orthonormal": bool(is_orthonormal_set(family, cfg.ortho_tol)),
     }
     if args.format == "json":
-        json.dump(result, sys.stdout, indent=1)
-        print()
+        write_json(result)
     else:
         print(f"family: k={family.k} n={family.n} m={family.m} field={family.field}")
         for entry in per_signal:
@@ -219,9 +215,7 @@ def cmd_orthonormalize(args) -> int:
         "step_norms": None,
         "residuals": {"orthonormality": ortho_residual, "span": span_residual},
     }
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+    write_json(doc, args.output)
     print(
         f"wrote orthonormal basis to {args.output} "
         f"(orthonormality residual {ortho_residual:.3e}, span residual {span_residual:.3e})"
@@ -234,12 +228,7 @@ def cmd_lattice_det(args) -> int:
     family, _ = load_family(args.file)
     lattice = build_lattice(family, cfg)
     if args.format == "json":
-        json.dump(
-            {"determinant": lattice.determinant, "step_norms": [float(x) for x in lattice.gs.step_norms]},
-            sys.stdout,
-            indent=1,
-        )
-        print()
+        write_json({"determinant": lattice.determinant, "step_norms": lattice.gs.step_norms.tolist()})
     else:
         print(f"determinant: {lattice.determinant!r}")
     return 0
@@ -252,12 +241,7 @@ def cmd_lattice_nearest(args) -> int:
     lattice = build_lattice(family, cfg)
     point, distance = lattice.nearest_point(target_family[0], args.bound, args.cap)
     if args.format == "json":
-        json.dump(
-            {"distance": distance, "coeffs": point.coeffs.tolist()},
-            sys.stdout,
-            indent=1,
-        )
-        print()
+        write_json({"distance": distance, "coeffs": point.coeffs.tolist()})
     else:
         print(f"distance: {distance!r}")
         print(f"coefficients: {point.coeffs.tolist()}")
@@ -322,17 +306,8 @@ def cmd_verify(args) -> int:
 
     passed = all(ok for _, ok, _ in checks)
     if args.format == "json":
-        json.dump(
-            {
-                "passed": passed,
-                "checks": [
-                    {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks
-                ],
-            },
-            sys.stdout,
-            indent=1,
-        )
-        print()
+        rows = [{"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
+        write_json({"passed": passed, "checks": rows})
     else:
         for name, ok, detail in checks:
             print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})")

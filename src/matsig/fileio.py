@@ -11,19 +11,27 @@ Two desk-scale schemas, both versioned "1":
   the defining integral.  This is the single approximation layer of the
   package; everything downstream of ingestion is exact.
 
+One codec serves both schemas and the CLI's stdout reports: ``encode_array``
+and ``decode_array`` convert (..., N, N) stacks to and from nested [re, im]
+lists, and ``read_json`` / ``write_json`` alone parse and serialise.  JSON has
+no NaN or Infinity (RFC 8259, section 6): load rejects them with SchemaError,
+save with ValueError.
+
 Unknown top-level keys are ignored on load, so report-bearing files written by
 the CLI remain valid signal files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .core import MatrixSignal, SignalFamily
+from .core import SignalFamily
 from .errors import SchemaError
 
 __all__ = [
@@ -42,57 +50,105 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 
-def _entry(value) -> list[float]:
-    z = complex(value)
-    return [float(z.real), float(z.imag)]
+def encode_array(stack) -> list:
+    """Nested lists of [re, im] float pairs for a (..., N, N) stack."""
+    z = np.asarray(stack, dtype=np.complex128)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
-def _matrix_to_doc(matrix: np.ndarray) -> list:
-    return [[_entry(matrix[i, j]) for j in range(matrix.shape[1])] for i in range(matrix.shape[0])]
+def _is_finite_number(value) -> bool:
+    # abs(x) <= max is False for NaN, +-Infinity and ints beyond the float range
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _require(doc: dict, key: str, path: str):
+def _raise_first_error(doc, shape: tuple, path: str) -> None:
+    size = shape[0]
+    if not isinstance(doc, list) or size not in (None, len(doc)):
+        raise SchemaError(path, f"expected a list of {size} items" if size else "expected a list")
+    if len(shape) == 1:
+        if not all(map(_is_finite_number, doc)):
+            raise SchemaError(path, "entries must be finite numbers")
+        return
+    for idx, child in enumerate(doc):
+        _raise_first_error(child, shape[1:], f"{path}[{idx}]")
+
+
+def decode_array(doc, shape: tuple, path: str) -> np.ndarray:
+    """Check nested lists against ``shape`` and return them as a float64 array.
+
+    A ``None`` axis accepts any length.  Every entry must be a finite int or
+    float (not a bool).  Otherwise SchemaError names the first bad field in
+    document order: the list whose length or type is wrong, or the innermost
+    list (an [re, im] pair, the grid, the interval) holding the bad entry.
+    """
+    try:
+        cells = np.array(doc, dtype=object)
+        if (
+            cells.ndim == len(shape)
+            and all(want in (None, got) for want, got in zip(shape, cells.shape))
+            and all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, cells.flat)))
+        ):
+            values = cells.astype(np.float64)
+            if np.isfinite(values).all():
+                return values
+    except (OverflowError, ValueError):  # an int beyond the float range; ndarrays of mixed shapes
+        pass
+    _raise_first_error(doc, shape, path)
+    raise SchemaError(path, "malformed array")  # not reached: the walk raises whenever the fast path fails
+
+
+def read_json(path):
+    """Parse the JSON document at ``path``; invalid JSON is a SchemaError."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("", f"invalid JSON: {exc}") from exc
+
+
+def write_json(doc, path=None) -> None:
+    """Write ``doc`` with ``indent=1`` and a trailing newline to ``path``, or to stdout."""
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
+
+
+def _require_finite(name: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} holds NaN or Infinity, which JSON files cannot carry")
+
+
+def _require(doc: dict, key: str):
     if key not in doc:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
+        raise SchemaError(key, "missing required field")
     return doc[key]
 
 
-def _int_field(doc: dict, key: str, path: str) -> int:
-    value = _require(doc, key, path)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SchemaError(f"{path}.{key}" if path else key, f"expected a positive integer, got {value!r}")
-    return value
-
-
-def _parse_matrix(doc, n: int, path: str) -> np.ndarray:
-    if not isinstance(doc, list) or len(doc) != n:
-        raise SchemaError(path, f"expected {n} rows")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(doc):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{path}[{i}]", f"expected {n} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-            ):
-                raise SchemaError(f"{path}[{i}][{j}]", "expected an [re, im] number pair")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+def _header(doc, *int_keys: str) -> list[int]:
+    """Check the object, its schema version and its positive-int fields."""
+    if not isinstance(doc, dict):
+        raise SchemaError("", "top-level document must be an object")
+    version = _require(doc, "schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError("schema_version", f"unsupported version {version!r}")
+    values = []
+    for key in int_keys:
+        value = _require(doc, key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise SchemaError(key, f"expected a positive integer, got {value!r}")
+        values.append(value)
+    return values
 
 
 def family_to_doc(family: SignalFamily, metadata: dict | None = None) -> dict:
+    _require_finite("family", family.coeffs_array)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": family.n,
         "m": family.m,
         "k": family.k,
         "field": family.field,
-        "signals": [
-            [_matrix_to_doc(np.asarray(sig.coeffs[m], dtype=np.complex128)) for m in range(family.m)]
-            for sig in family
-        ],
+        "signals": encode_array(family.coeffs_array),
     }
     if metadata is not None:
         doc["metadata"] = metadata
@@ -100,49 +156,30 @@ def family_to_doc(family: SignalFamily, metadata: dict | None = None) -> dict:
 
 
 def family_from_doc(doc) -> tuple[SignalFamily, dict]:
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top-level document must be an object")
-    version = _require(doc, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        raise SchemaError("schema_version", f"unsupported version {version!r}")
-    n = _int_field(doc, "n", "")
-    m = _int_field(doc, "m", "")
-    k = _int_field(doc, "k", "")
-    field = _require(doc, "field", "")
+    n, m, k = _header(doc, "n", "m", "k")
+    field = _require(doc, "field")
     if field not in ("real", "complex"):
         raise SchemaError("field", f"expected 'real' or 'complex', got {field!r}")
-    signals_doc = _require(doc, "signals", "")
-    if not isinstance(signals_doc, list) or len(signals_doc) != k:
-        raise SchemaError("signals", f"expected {k} signals")
-    signals = []
-    for idx, sig_doc in enumerate(signals_doc):
-        if not isinstance(sig_doc, list) or len(sig_doc) != m:
-            raise SchemaError(f"signals[{idx}]", f"expected {m} coefficient matrices")
-        coeffs = np.stack(
-            [_parse_matrix(sig_doc[mm], n, f"signals[{idx}][{mm}]") for mm in range(m)]
-        )
-        if field == "real" and np.any(coeffs.imag):
-            raise SchemaError(f"signals[{idx}]", "real file has nonzero imaginary parts")
-        signals.append(MatrixSignal(coeffs, field=field))
+    pairs = decode_array(_require(doc, "signals"), (k, m, n, n, 2), "signals")
+    if field == "real":
+        imaginary = np.flatnonzero(pairs[..., 1].reshape(k, -1).any(axis=1))
+        if imaginary.size:
+            raise SchemaError(f"signals[{imaginary[0]}]", "real file has nonzero imaginary parts")
+        coeffs = pairs[..., 0]
+    else:
+        coeffs = pairs.view(np.complex128)[..., 0]
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata", "must be an object when present")
-    return SignalFamily(tuple(signals)), metadata
+    return SignalFamily.from_coeffs(coeffs, field=field), metadata
 
 
 def save_family(path, family: SignalFamily, metadata: dict | None = None) -> None:
-    with open(path, "w") as handle:
-        json.dump(family_to_doc(family, metadata), handle, indent=1)
-        handle.write("\n")
+    write_json(family_to_doc(family, metadata), path)
 
 
 def load_family(path) -> tuple[SignalFamily, dict]:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
-    return family_from_doc(doc)
+    return family_from_doc(read_json(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,62 +240,34 @@ def ingest_sampled(sampled: SampledSignals) -> SignalFamily:
 
 
 def save_sampled(path, sampled: SampledSignals) -> None:
+    _require_finite("grid", sampled.grid)
+    _require_finite("samples", sampled.samples)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": int(sampled.samples.shape[2]),
         "k": int(sampled.samples.shape[0]),
         "rule": sampled.rule,
-        "grid": [float(t) for t in sampled.grid],
-        "samples": [
-            [_matrix_to_doc(np.asarray(sampled.samples[k, m], dtype=np.complex128)) for m in range(sampled.grid.size)]
-            for k in range(sampled.samples.shape[0])
-        ],
+        "grid": sampled.grid.tolist(),
+        "samples": encode_array(sampled.samples),
     }
     if sampled.interval is not None:
+        _require_finite("interval", sampled.interval)
         doc["interval"] = [float(sampled.interval[0]), float(sampled.interval[1])]
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+    write_json(doc, path)
 
 
 def load_sampled(path) -> SampledSignals:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "top-level document must be an object")
-    version = _require(doc, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        raise SchemaError("schema_version", f"unsupported version {version!r}")
-    n = _int_field(doc, "n", "")
-    k = _int_field(doc, "k", "")
-    rule = _require(doc, "rule", "")
-    grid_doc = _require(doc, "grid", "")
-    if not isinstance(grid_doc, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in grid_doc
-    ):
-        raise SchemaError("grid", "expected a list of numbers")
-    grid = np.asarray(grid_doc, dtype=np.float64)
-    samples_doc = _require(doc, "samples", "")
-    if not isinstance(samples_doc, list) or len(samples_doc) != k:
-        raise SchemaError("samples", f"expected {k} signals")
-    samples = np.empty((k, grid.size, n, n), dtype=np.complex128)
-    for idx, sig_doc in enumerate(samples_doc):
-        if not isinstance(sig_doc, list) or len(sig_doc) != grid.size:
-            raise SchemaError(f"samples[{idx}]", f"expected {grid.size} matrices")
-        for mm in range(grid.size):
-            samples[idx, mm] = _parse_matrix(sig_doc[mm], n, f"samples[{idx}][{mm}]")
+    doc = read_json(path)
+    n, k = _header(doc, "n", "k")
+    rule = _require(doc, "rule")
+    grid = decode_array(_require(doc, "grid"), (None,), "grid")
+    pairs = decode_array(_require(doc, "samples"), (k, grid.size, n, n, 2), "samples")
     interval = None
     if "interval" in doc:
-        iv = doc["interval"]
-        if (
-            not isinstance(iv, list)
-            or len(iv) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in iv)
-            or not iv[0] < iv[1]
-        ):
+        a, b = decode_array(doc["interval"], (2,), "interval")
+        if not a < b:
             raise SchemaError("interval", "expected [a, b] with a < b")
-        interval = (float(iv[0]), float(iv[1]))
-    return SampledSignals(grid=grid, samples=samples, rule=rule, interval=interval)
+        interval = (float(a), float(b))
+    return SampledSignals(
+        grid=grid, samples=pairs.view(np.complex128)[..., 0], rule=rule, interval=interval
+    )

@@ -83,7 +83,7 @@ def gen_random_family(
             coeffs[0, :, 1, :] = 3.0 * coeffs[0, :, 0, :]
         family = SignalFamily.from_coeffs(coeffs)
         if not is_degenerate(family[0], cfg):
-            raise AssertionError("degenerate construction failed its own check")
+            raise InfeasibleParametersError("degenerate construction failed its own check")
         return family
 
     # dependent: a scaled-copy pair makes the whole family dependent
@@ -102,7 +102,7 @@ def gen_random_family(
         members.append(MatrixSignal(_draw_coeffs(rng, (m, n, n), field)))
     family = SignalFamily(tuple(members))
     if is_linearly_independent(family, cfg).independent:
-        raise AssertionError("dependent construction failed its own check")
+        raise InfeasibleParametersError("dependent construction failed its own check")
     return family
 
 

@@ -202,3 +202,42 @@ def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):
     assert code == 2
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def test_gen_failed_self_check_exits_two(tmp_path, capsys):
+    # --tol-rank 0 calls every draw nondegenerate, so the construction cannot verify itself
+    code, _, err = run(
+        capsys, "gen", "--seed", "1", "--n", "3", "--m", "5", "--k", "3",
+        "--kind", "degenerate", "--tol-rank", "0", "-o", str(tmp_path / "d.json"),
+    )
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{file}"),
+        ("verify", "{file}"),
+        ("orthonormalize", "{file}", "-o", "{out}"),
+        ("lattice", "det", "{file}"),
+    ],
+    ids=["analyze", "verify", "orthonormalize", "lattice-det"],
+)
+def test_non_finite_file_exits_two(tmp_path, capsys, argv, token):
+    path = tmp_path / "basis.json"
+    run(capsys, "gen", "--seed", "4", "--n", "2", "--m", "3", "--k", "2",
+        "--kind", "independent", "--field", "real", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["signals"][1][2][0][1][0] = 12345.25
+    path.write_text(json.dumps(doc).replace("12345.25", token))
+    out = tmp_path / "out.json"
+    code = main([arg.format(file=path, out=out) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "error: signals[1][2][0][1]:" in err
+    assert not out.exists()

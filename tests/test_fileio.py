@@ -194,3 +194,193 @@ def test_family_doc_helpers_round_trip():
     rebuilt, metadata = ms.fileio.family_from_doc(doc)
     np.testing.assert_array_equal(rebuilt.coeffs_array, family.coeffs_array)
     assert metadata == {"note": "x"}
+
+
+GOLDEN_REAL = """{
+ "schema_version": "1",
+ "n": 1,
+ "m": 2,
+ "k": 1,
+ "field": "real",
+ "signals": [
+  [
+   [
+    [
+     [
+      -0.0,
+      0.0
+     ]
+    ]
+   ],
+   [
+    [
+     [
+      0.3333333333333333,
+      0.0
+     ]
+    ]
+   ]
+  ]
+ ]
+}
+"""
+
+GOLDEN_COMPLEX = """{
+ "schema_version": "1",
+ "n": 1,
+ "m": 2,
+ "k": 1,
+ "field": "complex",
+ "signals": [
+  [
+   [
+    [
+     [
+      -0.0,
+      5e-324
+     ]
+    ]
+   ],
+   [
+    [
+     [
+      1.7976931348623157e+308,
+      0.3333333333333333
+     ]
+    ]
+   ]
+  ]
+ ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ([-0.0, 1 / 3], GOLDEN_REAL),
+        ([complex(-0.0, 5e-324), complex(1.7976931348623157e308, 1 / 3)], GOLDEN_COMPLEX),
+    ],
+    ids=["real", "complex"],
+)
+def test_saved_text_is_golden(tmp_path, coeffs, expected):
+    family = ms.SignalFamily.from_coeffs(np.array(coeffs).reshape(1, 2, 1, 1))
+    path = tmp_path / "golden.json"
+    ms.save_family(path, family)
+    assert path.read_text() == expected
+    loaded, _ = ms.load_family(path)
+    assert loaded.field == family.field
+    np.testing.assert_array_equal(loaded.coeffs_array, family.coeffs_array)
+    assert np.signbit(loaded.coeffs_array.real.ravel()[0])
+
+
+SENTINEL = 12345.25  # a value whose JSON text is replaced by the token under test
+
+
+def _set_part(doc_path, value):
+    """Mutation that sets one field of a document, addressed by a key/index path."""
+
+    def mutate(doc):
+        node = doc
+        for key in doc_path[:-1]:
+            node = node[key]
+        node[doc_path[-1]] = value
+
+    return mutate
+
+
+def _write_with_token(path, doc, token):
+    text = json.dumps(doc)
+    if token is not None:
+        assert text.count(repr(SENTINEL)) == 1
+        text = text.replace(repr(SENTINEL), token)
+    path.write_text(text)
+
+
+@pytest.mark.parametrize(
+    "where, value, token, expected_path",
+    [
+        (("signals", 1, 0, 1, 0, 1), True, None, "signals[1][0][1][0]"),
+        (("signals", 0, 1, 1, 1, 0), "1.0", None, "signals[0][1][1][1]"),
+        (("signals", 0, 0, 0, 1, 1), None, None, "signals[0][0][0][1]"),
+        (("signals", 1, 1, 0, 0), [1.0, 2.0, 3.0], None, "signals[1][1][0][0]"),
+        (("signals", 0, 1, 0, 1, 0), SENTINEL, "NaN", "signals[0][1][0][1]"),
+        (("signals", 1, 0, 0, 0, 1), SENTINEL, "Infinity", "signals[1][0][0][0]"),
+        (("signals", 0, 0, 1, 0, 0), SENTINEL, "-Infinity", "signals[0][0][1][0]"),
+        (("signals", 1, 1, 1, 1, 1), SENTINEL, "1e999", "signals[1][1][1][1]"),
+        (("signals", 0, 0, 0, 0, 0), 10**400, None, "signals[0][0][0][0]"),
+    ],
+    ids=["bool", "string", "null", "triple", "nan", "inf", "-inf", "1e999", "huge-int"],
+)
+def test_bad_entries_carry_exact_paths(tmp_path, where, value, token, expected_path):
+    family = ms.gen_random_family(3, 2, 2, 2, "independent")
+    doc = ms.fileio.family_to_doc(family)
+    _set_part(where, value)(doc)
+    path = tmp_path / "bad.json"
+    _write_with_token(path, doc, token)
+    with pytest.raises(ms.SchemaError) as err:
+        ms.load_family(path)
+    assert err.value.path == expected_path
+
+
+def _sampled_doc(tmp_path):
+    grid = np.linspace(0.0, 1.0, 3)
+    samples = np.arange(2 * 3 * 2 * 2, dtype=float).reshape(2, 3, 2, 2) * (1 + 0.5j)
+    path = tmp_path / "sampled.json"
+    ms.save_sampled(path, ms.SampledSignals(grid=grid, samples=samples, rule="trapezoid", interval=(0.0, 1.0)))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "mutate, token, expected_path",
+    [
+        (lambda doc: doc.update(schema_version="2"), None, "schema_version"),
+        (lambda doc: doc.update(k=True), None, "k"),
+        (lambda doc: doc.pop("rule"), None, "rule"),
+        (lambda doc: doc["samples"].pop(), None, "samples"),
+        (lambda doc: doc["samples"][1].pop(), None, "samples[1]"),
+        (lambda doc: doc["samples"][0][2][1].pop(), None, "samples[0][2][1]"),
+        (_set_part(("samples", 1, 2, 0, 1, 1), False), None, "samples[1][2][0][1]"),
+        (_set_part(("samples", 0, 1, 1, 0, 0), SENTINEL), "NaN", "samples[0][1][1][0]"),
+        (_set_part(("grid", 1), "0.5"), None, "grid"),
+        (_set_part(("grid", 2), SENTINEL), "NaN", "grid"),
+        (_set_part(("grid", 0), SENTINEL), "-1e999", "grid"),
+        (lambda doc: doc.update(grid=0.5), None, "grid"),
+        (lambda doc: doc["interval"].pop(), None, "interval"),
+        (_set_part(("interval", 1), SENTINEL), "Infinity", "interval"),
+        (lambda doc: doc.update(interval=[1.0, 0.0]), None, "interval"),
+    ],
+    ids=[
+        "version", "k-bool", "rule-missing", "samples-short", "signal-short", "row-short",
+        "bool-entry", "nan-entry", "grid-string", "grid-nan", "grid-inf", "grid-scalar",
+        "interval-short", "interval-inf", "interval-order",
+    ],
+)
+def test_sampled_schema_errors_carry_paths(tmp_path, mutate, token, expected_path):
+    doc = _sampled_doc(tmp_path)
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    _write_with_token(path, doc, token)
+    with pytest.raises(ms.SchemaError) as err:
+        ms.load_sampled(path)
+    assert err.value.path == expected_path
+
+
+def test_sampled_invalid_json_is_schema_error(tmp_path):
+    path = tmp_path / "not.json"
+    path.write_text('{"schema_version": "1",')
+    with pytest.raises(ms.SchemaError):
+        ms.load_sampled(path)
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    coeffs = np.ones((1, 2, 1, 1))
+    coeffs[0, 1, 0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError, match="NaN or Infinity"):
+        ms.save_family(path, ms.SignalFamily.from_coeffs(coeffs))
+    grid = np.linspace(0.0, 1.0, 3)
+    samples = np.ones((1, 3, 1, 1)) * np.array([1.0, np.inf, 1.0])[None, :, None, None]
+    with pytest.raises(ValueError, match="NaN or Infinity"):
+        ms.save_sampled(path, ms.SampledSignals(grid=grid, samples=samples, rule="trapezoid"))
+    assert not path.exists()
