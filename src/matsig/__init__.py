@@ -80,8 +80,6 @@ from .lattice import (
     verify_norm_inequality,
 )
 from .linalg import (
-    EigenDecomposition,
-    eigh_decomposition,
     herm_inv_sqrt,
     herm_sqrt,
     null_space_basis,

@@ -196,8 +196,8 @@ class SampledSignals:
         samples = np.asarray(self.samples)
         if grid.ndim != 1 or grid.size < 2:
             raise SchemaError("grid", "need at least two sample times")
-        if np.any(np.diff(grid) <= 0):
-            raise SchemaError("grid", "sample times must be strictly increasing")
+        if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+            raise SchemaError("grid", "sample times must be finite and strictly increasing")
         if samples.ndim != 4 or samples.shape[1] != grid.size or samples.shape[2] != samples.shape[3]:
             raise SchemaError(
                 "samples", f"expected shape (K, {grid.size}, N, N), got {samples.shape}"
@@ -240,7 +240,6 @@ def ingest_sampled(sampled: SampledSignals) -> SignalFamily:
 
 
 def save_sampled(path, sampled: SampledSignals) -> None:
-    _require_finite("grid", sampled.grid)
     _require_finite("samples", sampled.samples)
     doc = {
         "schema_version": SCHEMA_VERSION,

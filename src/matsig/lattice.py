@@ -122,13 +122,13 @@ class MatrixLattice:
                 f"target (n={target.n}, m={target.m}) does not match basis "
                 f"(n={self.basis.n}, m={self.basis.m})"
             )
-        best: LatticePoint | None = None
-        best_distance = np.inf
-        for candidate in self.enumerate_points(bound, cap):
+        points = self.enumerate_points(bound, cap)
+        best = next(points)  # the box always holds the origin, so it is never empty
+        best_distance = norm_m(sub(target, best.signal))
+        for candidate in points:
             distance = norm_m(sub(target, candidate.signal))
             if distance < best_distance:
                 best, best_distance = candidate, distance
-        assert best is not None
         return best, float(best_distance)
 
     def gram_identity_residual(self) -> float:

@@ -1,14 +1,16 @@
 """Hermitian-matrix utilities: principal square roots, tolerant rank, null spaces.
 
 Everything here is a thin, carefully-toleranced layer over numpy's Hermitian
-eigendecomposition.  Eigenvalues in [-psd_tol * ||P||_F, 0) are treated as
-roundoff from Gram assembly and clamped to zero; anything more negative is
-rejected as indefinite.
+eigendecomposition, and it holds the package's one rank rule
+(``nonzero_eigenvalues``): an eigenvalue counts as nonzero exactly when it
+exceeds rank_rel_tol * lambda_max, and none does when lambda_max <= 0.  Rank,
+null spaces, invertibility, degeneracy and linear independence all take their
+verdict from that mask.  For the square root, eigenvalues in
+[-psd_tol * ||P||_F, 0) are treated as roundoff from Gram assembly and clamped
+to zero; anything more negative is rejected as indefinite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +23,12 @@ from .errors import (
 )
 
 __all__ = [
-    "EigenDecomposition",
-    "eigh_decomposition",
     "herm_sqrt",
     "herm_inv_sqrt",
     "rank_tol",
     "null_space_basis",
     "null_space_included",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues (ascending, real) and a unitary eigenvector matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(p) -> np.ndarray:
@@ -46,28 +38,31 @@ def _as_square(p) -> np.ndarray:
     return arr
 
 
-def _check_hermitian(p: np.ndarray, cfg: ToleranceConfig) -> None:
-    deviation = np.linalg.norm(p - p.conj().T)
-    if deviation > cfg.hermitian_tol * max(1.0, np.linalg.norm(p)):
+def _eigh(p, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unitary eigenvectors of a square Hermitian matrix."""
+    arr = _as_square(p)
+    deviation = np.linalg.norm(arr - arr.conj().T)
+    if deviation > cfg.hermitian_tol * max(1.0, np.linalg.norm(arr)):
         raise NotHermitianError(
             f"matrix is not Hermitian: ||P - P^H||_F = {deviation:.3e}"
         )
+    return np.linalg.eigh((arr + arr.conj().T) / 2.0)
 
 
-def eigh_decomposition(p, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
-    """Hermitian eigendecomposition of the symmetrized input."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    arr = _as_square(p)
-    _check_hermitian(arr, cfg)
-    w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-    return EigenDecomposition(w, v)
+def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """The rank rule: mask of ascending eigenvalues w above rank_rel_tol * lambda_max.
+
+    All False when lambda_max <= 0, so the zero matrix has rank 0.
+    """
+    if w[-1] <= 0:
+        return np.zeros(w.shape, dtype=bool)
+    return w > cfg.rank_rel_tol * w[-1]
 
 
 def herm_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """The principal PSD square root S of a Hermitian PSD matrix, S @ S = P."""
     cfg = cfg or DEFAULT_TOLERANCES
-    dec = eigh_decomposition(p, cfg)
-    w, v = dec.eigenvalues, dec.eigenvectors
+    w, v = _eigh(p, cfg)
     floor = -cfg.psd_tol * np.linalg.norm(np.asarray(p))
     if w[0] < floor:
         raise IndefiniteError(
@@ -81,14 +76,13 @@ def herm_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
 def herm_inv_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """T with T @ P @ T = I for Hermitian positive definite P.
 
-    Raises SingularMatrixError when the smallest eigenvalue does not clear
-    rank_rel_tol relative to the largest; for Gram matrices that means a
-    degenerate signal reached an orthonormalization step.
+    Raises SingularMatrixError unless every eigenvalue is nonzero under the
+    rank rule; for Gram matrices that means a degenerate signal reached an
+    orthonormalization step.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    dec = eigh_decomposition(p, cfg)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    if w[-1] <= 0 or w[0] <= cfg.rank_rel_tol * w[-1]:
+    w, v = _eigh(p, cfg)
+    if not nonzero_eigenvalues(w, cfg).all():
         raise SingularMatrixError(
             f"matrix is singular at rank tolerance: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
@@ -100,12 +94,8 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
 def rank_tol(p, cfg: ToleranceConfig | None = None) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
     cfg = cfg or DEFAULT_TOLERANCES
-    dec = eigh_decomposition(p, cfg)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    lam_max = w[-1]
-    if lam_max == 0.0:
-        return 0
-    return int(np.sum(w > cfg.rank_rel_tol * lam_max))
+    w, _ = _eigh(p, cfg)
+    return int(nonzero_eigenvalues(w, cfg).sum())
 
 
 def null_space_basis(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -114,14 +104,8 @@ def null_space_basis(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     Complementary to rank_tol: the returned column count is N - rank_tol(P).
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    dec = eigh_decomposition(p, cfg)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    lam_max = w[-1]
-    if lam_max == 0.0:
-        mask = np.ones_like(w, dtype=bool)
-    else:
-        mask = w <= cfg.rank_rel_tol * lam_max
-    return dec.eigenvectors[:, mask]
+    w, v = _eigh(p, cfg)
+    return v[:, ~nonzero_eigenvalues(w, cfg)]
 
 
 def null_space_included(a, null_p, cfg: ToleranceConfig | None = None) -> bool:

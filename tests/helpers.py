@@ -44,3 +44,24 @@ def rank_one(rng, n):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return np.outer(u, v)
+
+
+def random_probe_coeffs(rng, k, n):
+    """Mixed witness coefficient draws: dense, shared-left-vector rank-one, or sparse."""
+    kind = rng.integers(3)
+    if kind == 0:
+        out = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    elif kind == 1:
+        # rank-one blocks u v_k^H: the combination is u times one row function,
+        # degenerate whenever n >= 2, which exercises the non-vacuous branch
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = np.stack(
+            [
+                np.outer(u, (rng.standard_normal(n) + 1j * rng.standard_normal(n)).conj())
+                for _ in range(k)
+            ]
+        )
+    else:
+        out = np.zeros((k, n, n), dtype=complex)
+        out[rng.integers(k)] = rng.standard_normal((n, n))
+    return out

@@ -241,3 +241,23 @@ def test_non_finite_file_exits_two(tmp_path, capsys, argv, token):
     assert "Traceback" not in err
     assert "error: signals[1][2][0][1]:" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_orthonormalize_span_residual_matches_member_loop(tmp_path, capsys, field):
+    f = tmp_path / "f.json"
+    g = tmp_path / "g.json"
+    run(capsys, "gen", "--seed", "5", "--n", "3", "--m", "8", "--k", "4",
+        "--kind", "independent", "--field", field, "-o", str(f))
+    assert run(capsys, "orthonormalize", str(f), "-o", str(g))[0] == 0
+    reported = json.loads(g.read_text())["gram_schmidt"]["residuals"]["span"]
+    family, _ = ms.load_family(f)
+    basis, _ = ms.load_family(g)
+    # reference: expand and reconstruct each member on its own
+    reference = max(
+        ms.norm_m(ms.sub(sig, ms.reconstruct(ms.expand(sig, basis), basis))) for sig in family
+    )
+    # both are roundoff; summation order may differ, so compare at a dtype-derived tolerance
+    tol = 1e3 * np.finfo(float).eps * max(ms.norm_m(sig) for sig in family)
+    assert reference <= tol
+    assert abs(reported - reference) <= tol

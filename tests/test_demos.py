@@ -24,3 +24,4 @@ def test_demo_runs(demo, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+    assert not list(tmp_path.iterdir())  # nothing left behind in the temp directory

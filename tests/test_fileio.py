@@ -177,6 +177,15 @@ def test_sampled_validation_errors():
         ms.SampledSignals(grid=np.array([0.0, 1.0]), samples=np.ones((1, 2, 1, 1)), rule="gauss-legendre")
 
 
+@pytest.mark.parametrize(
+    "grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]], ids=["nan", "inf", "-inf"]
+)
+def test_sampled_signals_reject_non_finite_grid(grid):
+    with pytest.raises(ms.SchemaError) as info:
+        ms.SampledSignals(grid=np.array(grid), samples=np.ones((1, 3, 1, 1)), rule="trapezoid")
+    assert info.value.path == "grid"
+
+
 def test_gauss_legendre_grid_must_match_nodes():
     sampled = ms.SampledSignals(
         grid=np.array([-0.5, 0.5]),

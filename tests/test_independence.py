@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import matsig as ms
-from helpers import random_family, random_matrix, random_signal, rank_one
+from helpers import random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
 from oracles import quadrature_block_gram
 
 
@@ -143,10 +143,43 @@ def test_probes_agree_with_rank_verdict():
     total = 0
     for seed in range(4):
         family = ms.gen_random_family(seed, 2, 4, 3, "independent")
-        report = ms.is_linearly_independent(family, witness_probes=60, rng=rng)
-        assert report.independent
-        total += report.witnesses_checked
+        assert ms.is_linearly_independent(family).independent
+        for _ in range(60):
+            assert ms.verify_independence_witness(family, random_probe_coeffs(rng, family.k, family.n))
+            total += 1
     assert total >= 200
+
+
+@pytest.mark.parametrize(
+    "tol, on_threshold_is_zero", [(2.0**-20, True), (2.0**-21, False)], ids=["tol_2^-20", "tol_2^-21"]
+)
+def test_rank_rule_boundary_is_shared(tol, on_threshold_is_zero):
+    # powers of two keep every eigenvalue exact; at tol 2**-20 the eigenvalue 2**-20
+    # of diag(2**-20, 1) sits exactly on the threshold rank_rel_tol * lambda_max
+    cfg = ms.ToleranceConfig(rank_rel_tol=tol)
+    rank = 1 if on_threshold_is_zero else 2
+    p = np.diag([2.0**-20, 1.0])
+    assert ms.rank_tol(p, cfg) == rank
+    assert ms.null_space_basis(p, cfg).shape == (2, 2 - rank)
+    if on_threshold_is_zero:
+        with pytest.raises(ms.SingularMatrixError):
+            ms.herm_inv_sqrt(p, cfg)
+    else:
+        np.testing.assert_allclose(ms.herm_inv_sqrt(p, cfg), np.diag([2.0**10, 1.0]))
+
+    # one member with <f, f> = diag(1, 2**-20), which is also its block Gram
+    family = ms.SignalFamily.from_coeffs(np.array([[np.diag([1.0, 2.0**-10]), np.zeros((2, 2))]]))
+    f = family[0]
+    assert ms.is_degenerate(f, cfg) == on_threshold_is_zero
+    assert ms.rows_linearly_dependent(f, cfg) == on_threshold_is_zero
+    report = ms.is_linearly_independent(family, cfg)
+    assert (report.block_gram_rank, report.required_rank) == (rank, 2)
+    assert report.independent != on_threshold_is_zero
+    witness = ms.dependent_witness_search(family, cfg)
+    if on_threshold_is_zero:
+        assert not ms.verify_independence_witness(family, witness, cfg)
+    else:
+        assert witness is None
 
 
 def test_null_space_aligned_search_finds_witnesses():

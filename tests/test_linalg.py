@@ -7,17 +7,6 @@ import matsig as ms
 from helpers import random_psd, random_unitary
 
 
-def test_eigh_decomposition_reconstructs():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        p = random_psd(rng, 4)
-        dec = ms.eigh_decomposition(p)
-        v = dec.eigenvectors
-        recon = (v * dec.eigenvalues) @ v.conj().T
-        assert np.linalg.norm(recon - p) <= 1e-10 * np.linalg.norm(p)
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-10
-
-
 def test_herm_sqrt_identity_and_diagonal():
     np.testing.assert_allclose(ms.herm_sqrt(np.eye(3)), np.eye(3))
     np.testing.assert_allclose(ms.herm_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
