@@ -35,6 +35,7 @@ from .errors import (
     IndefiniteError,
     InfeasibleParametersError,
     MatrixSignalError,
+    NonFiniteError,
     NonIntegerCoefficientError,
     NotHermitianError,
     NotIndependentError,
@@ -67,7 +68,6 @@ from .independence import (
     dependent_witness_search,
     is_degenerate,
     is_linearly_independent,
-    row_function_matrix,
     rows_linearly_dependent,
     verify_independence_witness,
 )

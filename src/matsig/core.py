@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 
 __all__ = [
     "ToleranceConfig",
@@ -92,7 +92,8 @@ class MatrixSignal:
 
     ``field`` is "real" when every entry has exactly zero imaginary part
     (stored as float64) and "complex" otherwise.  Pass ``field=None`` to infer
-    the tag from the values.
+    the tag from the values.  Every entry must be finite: NaN or Infinity
+    raises NonFiniteError.
     """
 
     coeffs: np.ndarray
@@ -119,6 +120,8 @@ class MatrixSignal:
             arr = np.array(arr, dtype=np.complex128)
         else:
             raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("coefficients hold NaN or Infinity")
         object.__setattr__(self, "coeffs", _freeze(arr))
         object.__setattr__(self, "field", field)
 
@@ -245,7 +248,8 @@ def from_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return rows.reshape(-1, n, rows.shape[1] // n, n).swapaxes(1, 2)
 
 
-def _check_same_shape(f: MatrixSignal, g: MatrixSignal) -> None:
+def check_same_shape(f: MatrixSignal, g: MatrixSignal | SignalFamily) -> None:
+    """Raise DimensionMismatchError unless ``g`` (a signal or a family) has f's N and M."""
     if f.n != g.n or f.m != g.m:
         raise DimensionMismatchError(
             f"signal shapes differ: (n={f.n}, m={f.m}) vs (n={g.n}, m={g.m})"
@@ -258,7 +262,7 @@ def inner_product(f: MatrixSignal, g: MatrixSignal) -> np.ndarray:
     Evaluates exactly as sum_m C_m D_m^H.  For g = f the result is Hermitian
     positive semidefinite up to floating-point roundoff.
     """
-    _check_same_shape(f, g)
+    check_same_shape(f, g)
     return to_rows(f.coeffs) @ to_rows(g.coeffs).conj().T
 
 
@@ -306,12 +310,12 @@ def right_mul(f: MatrixSignal, a) -> MatrixSignal:
 
 
 def add(f: MatrixSignal, g: MatrixSignal) -> MatrixSignal:
-    _check_same_shape(f, g)
+    check_same_shape(f, g)
     return MatrixSignal(f.coeffs + g.coeffs)
 
 
 def sub(f: MatrixSignal, g: MatrixSignal) -> MatrixSignal:
-    _check_same_shape(f, g)
+    check_same_shape(f, g)
     return MatrixSignal(f.coeffs - g.coeffs)
 
 

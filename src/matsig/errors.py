@@ -9,6 +9,10 @@ class DimensionMismatchError(MatrixSignalError, ValueError):
     """Operands have incompatible matrix dimension or coefficient count."""
 
 
+class NonFiniteError(MatrixSignalError, ValueError):
+    """Signal coefficients hold NaN or Infinity, in the real or the imaginary part."""
+
+
 class NotHermitianError(MatrixSignalError, ValueError):
     """A matrix required to be Hermitian deviates beyond tolerance."""
 

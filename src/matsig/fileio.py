@@ -15,7 +15,8 @@ One codec serves both schemas and the CLI's stdout reports: ``encode_array``
 and ``decode_array`` convert (..., N, N) stacks to and from nested [re, im]
 lists, and ``read_json`` / ``write_json`` alone parse and serialise.  JSON has
 no NaN or Infinity (RFC 8259, section 6): load rejects them with SchemaError,
-save with ValueError.
+and save never meets one, because the MatrixSignal and SampledSignals
+constructors refuse non-finite values.
 
 Unknown top-level keys are ignored on load, so report-bearing files written by
 the CLI remain valid signal files.
@@ -113,11 +114,6 @@ def write_json(doc, path=None) -> None:
         handle.write("\n")
 
 
-def _require_finite(name: str, values) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} holds NaN or Infinity, which JSON files cannot carry")
-
-
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SchemaError(key, "missing required field")
@@ -141,7 +137,6 @@ def _header(doc, *int_keys: str) -> list[int]:
 
 
 def family_to_doc(family: SignalFamily, metadata: dict | None = None) -> dict:
-    _require_finite("family", family.coeffs_array)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": family.n,
@@ -202,11 +197,18 @@ class SampledSignals:
             raise SchemaError(
                 "samples", f"expected shape (K, {grid.size}, N, N), got {samples.shape}"
             )
+        if not np.isfinite(samples).all():
+            raise SchemaError("samples", "samples hold NaN or Infinity")
+        if self.interval is not None:
+            ends = np.asarray(self.interval, dtype=np.float64)
+            if not (ends.shape == (2,) and np.isfinite(ends).all() and ends[0] < ends[1]):
+                raise SchemaError("interval", "expected finite [a, b] with a < b")
         if self.rule not in ("trapezoid", "gauss-legendre"):
             raise SchemaError("rule", f"expected 'trapezoid' or 'gauss-legendre', got {self.rule!r}")
         if self.rule == "gauss-legendre" and self.interval is None:
             raise SchemaError("interval", "gauss-legendre ingestion requires the interval")
         grid.setflags(write=False)
+        samples.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", samples)
 
@@ -240,7 +242,6 @@ def ingest_sampled(sampled: SampledSignals) -> SignalFamily:
 
 
 def save_sampled(path, sampled: SampledSignals) -> None:
-    _require_finite("samples", sampled.samples)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": int(sampled.samples.shape[2]),
@@ -250,7 +251,6 @@ def save_sampled(path, sampled: SampledSignals) -> None:
         "samples": encode_array(sampled.samples),
     }
     if sampled.interval is not None:
-        _require_finite("interval", sampled.interval)
         doc["interval"] = [float(sampled.interval[0]), float(sampled.interval[1])]
     write_json(doc, path)
 
@@ -264,8 +264,6 @@ def load_sampled(path) -> SampledSignals:
     interval = None
     if "interval" in doc:
         a, b = decode_array(doc["interval"], (2,), "interval")
-        if not a < b:
-            raise SchemaError("interval", "expected [a, b] with a < b")
         interval = (float(a), float(b))
     return SampledSignals(
         grid=grid, samples=pairs.view(np.complex128)[..., 0], rule=rule, interval=interval

@@ -41,7 +41,7 @@ def gen_random_family(
     k: int,
     kind: str,
     field: str = "complex",
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> SignalFamily:
     """Deterministic family of the requested kind.
 
@@ -54,7 +54,6 @@ def gen_random_family(
     dependent    -- members 0 and 1 are A f and B f for one random
                     nondegenerate f (requires k >= 2)
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     if kind not in FAMILY_KINDS:
         raise InfeasibleParametersError(f"unknown kind {kind!r}; expected one of {FAMILY_KINDS}")
     if field not in ("real", "complex"):

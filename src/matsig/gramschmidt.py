@@ -35,6 +35,7 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    check_same_shape,
     from_rows,
     inner_product,
     is_orthonormal_set,
@@ -45,7 +46,6 @@ from .core import (
 from .errors import (
     BasisNotOrthonormalError,
     DegenerateStepError,
-    DimensionMismatchError,
     MatrixSignalError,
 )
 
@@ -101,13 +101,12 @@ def _factor(fam: SignalFamily, cfg: ToleranceConfig):
     return rows, lower, q.conj().T, u @ vh, s
 
 
-def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> GramSchmidtResult:
+def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramSchmidtResult:
     """Turn a linearly independent family into an orthonormal one.
 
     Output k is polar(L_kk) Q_k, the classical g_k = <g^_k, g^_k>^{-1/2} g^_k.
     An output failing the orthonormal-set test at ortho_tol raises MatrixSignalError.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     _, _, q, polar, _ = _factor(fam, cfg)
     rows = (polar @ q.reshape(fam.k, fam.n, -1)).reshape(q.shape)
     ortho = SignalFamily.from_coeffs(from_rows(rows, fam.n), field=fam.field)
@@ -117,9 +116,8 @@ def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> Gra
     return GramSchmidtResult(ortho=ortho, mu=None, step_norms=None, mode="orthonormalize")
 
 
-def orthogonalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> GramSchmidtResult:
+def orthogonalize(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramSchmidtResult:
     """Pairwise-orthogonalize without normalizing, returning the mu table."""
-    cfg = cfg or DEFAULT_TOLERANCES
     rows, lower, q, _, s = _factor(fam, cfg)
     k, n = fam.k, fam.n
     earlier = np.arange(k)[:, None] < np.arange(k)  # earlier[l, k]: step l precedes step k
@@ -136,14 +134,10 @@ def orthogonalize(fam: SignalFamily, cfg: ToleranceConfig | None = None) -> Gram
 
 
 def expand(
-    f: MatrixSignal, basis: SignalFamily, cfg: ToleranceConfig | None = None
+    f: MatrixSignal, basis: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Expansion coefficients F_k = <f, Phi_k> against an orthonormal basis."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    if f.n != basis.n or f.m != basis.m:
-        raise DimensionMismatchError(
-            f"signal (n={f.n}, m={f.m}) does not match basis (n={basis.n}, m={basis.m})"
-        )
+    check_same_shape(f, basis)
     if not is_orthonormal_set(basis, cfg.ortho_tol):
         raise BasisNotOrthonormalError("expansion basis fails the orthonormal-set test")
     # R_f R_basis^H is the N x KN row [<f, Phi_1> ... <f, Phi_K>]
@@ -156,7 +150,7 @@ def reconstruct(coeffs, basis: SignalFamily) -> MatrixSignal:
 
 
 def parseval_residual(
-    f: MatrixSignal, basis: SignalFamily, cfg: ToleranceConfig | None = None
+    f: MatrixSignal, basis: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> float:
     """|| <f, f> - sum_k F_k F_k^H ||_F; zero exactly when f lies in the span."""
     coeffs = expand(f, basis, cfg)

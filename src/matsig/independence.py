@@ -33,13 +33,11 @@ from .core import (
     norm_m,
     to_rows,
 )
-from .errors import DimensionMismatchError
 from .linalg import nonzero_eigenvalues, null_space_basis, null_space_included, rank_tol
 
 __all__ = [
     "BlockGram",
     "IndependenceReport",
-    "row_function_matrix",
     "is_degenerate",
     "rows_linearly_dependent",
     "block_gram",
@@ -69,22 +67,12 @@ class IndependenceReport:
     min_eigenvalue: float
 
 
-def row_function_matrix(f: MatrixSignal) -> np.ndarray:
-    """The N x (M*N) matrix whose row i concatenates row i of every coefficient.
-
-    Row i is the coefficient vector of the i-th row function of f over the
-    scalar basis, so <f, f> equals R @ R^H exactly.
-    """
-    return to_rows(f.coeffs)
-
-
-def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig | None = None) -> bool:
+def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when <f, f> is rank deficient at the configured tolerance."""
-    cfg = cfg or DEFAULT_TOLERANCES
     return rank_tol(inner_product(f, f), cfg) < f.n
 
 
-def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig | None = None) -> bool:
+def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when the N row functions of f are linearly dependent.
 
     Decided by the singular values of the stacked row-coefficient matrix; the
@@ -92,8 +80,7 @@ def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig | None = None)
     used on <f, f> = R R^H, so this agrees with is_degenerate while taking an
     independent computational route (SVD of R instead of eigh of the Gram).
     """
-    cfg = cfg or DEFAULT_TOLERANCES
-    s = np.linalg.svd(row_function_matrix(f), compute_uv=False)
+    s = np.linalg.svd(to_rows(f.coeffs), compute_uv=False)
     if s[0] == 0.0:
         return True
     rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))
@@ -108,10 +95,9 @@ def block_gram(fam: SignalFamily) -> BlockGram:
 
 
 def is_linearly_independent(
-    fam: SignalFamily, cfg: ToleranceConfig | None = None
+    fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Rank test of the assembled block Gram matrix."""
-    cfg = cfg or DEFAULT_TOLERANCES
     assembled = block_gram(fam).assembled
     w = np.linalg.eigvalsh((assembled + assembled.conj().T) / 2.0)
     rank = int(nonzero_eigenvalues(w, cfg).sum())
@@ -122,7 +108,7 @@ def is_linearly_independent(
 def verify_independence_witness(
     fam: SignalFamily,
     coeffs: Sequence[np.ndarray] | np.ndarray,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> bool:
     """Check the independence condition for one concrete coefficient choice.
 
@@ -131,13 +117,7 @@ def verify_independence_witness(
     every F_k vanish; otherwise every null direction of <f, f> must be
     annihilated by every F_k^H.  A False result proves the family dependent.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     arr = np.asarray(coeffs)
-    if arr.shape != (fam.k, fam.n, fam.n):
-        raise DimensionMismatchError(
-            f"expected witness coefficients of shape ({fam.k}, {fam.n}, {fam.n}), "
-            f"got {arr.shape}"
-        )
     f = linear_combination(fam, arr)
 
     # "f = 0" needs an external scale: the combination of O(1) inputs that
@@ -155,7 +135,7 @@ def verify_independence_witness(
 
 
 def dependent_witness_search(
-    fam: SignalFamily, cfg: ToleranceConfig | None = None
+    fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray | None:
     """Construct coefficients that violate the independence condition, if any exist.
 
@@ -166,7 +146,6 @@ def dependent_witness_search(
     witness.  Returns the (K, N, N) coefficient stack, or None when the family
     is independent at tolerance.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     k, n = fam.k, fam.n
     assembled = block_gram(fam).assembled
     w, v = np.linalg.eigh((assembled + assembled.conj().T) / 2.0)

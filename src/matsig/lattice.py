@@ -1,10 +1,13 @@
 """Matrix-valued lattices: integer-matrix combinations of a real independent family.
 
 A lattice is the set { sum_k F_k f_k : F_k integer N x N matrices } for a
-linearly independent real basis family.  Its determinant is defined directly
-from the Gram-Schmidt orthogonalization as the product of the residual signal
-norms; no basis-reduction algorithm is provided, only desk-scale brute-force
-enumeration and closest-point search for experimentation.
+linearly independent real basis family.  A point is the combination's row
+matrix [F_1 ... F_K] R, with R the basis's KN x MN row matrix.  The
+determinant is defined directly from the Gram-Schmidt orthogonalization as the
+product of the residual signal norms; no basis-reduction algorithm is
+provided, only desk-scale brute-force enumeration of the coefficient box and
+closest-point search over it, scored on coefficient stacks without building a
+signal per box point.
 """
 
 from __future__ import annotations
@@ -20,19 +23,18 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
-    inner_product,
-    norm_m,
-    sub,
+    check_same_shape,
+    linear_combination,
+    to_rows,
 )
 from .errors import (
-    DimensionMismatchError,
     EnumerationCapError,
     NonIntegerCoefficientError,
     NotIndependentError,
     NotRealError,
 )
 from .gramschmidt import GramSchmidtResult, orthogonalize
-from .independence import is_linearly_independent
+from .independence import block_gram, is_linearly_independent
 
 __all__ = [
     "LatticePoint",
@@ -54,6 +56,12 @@ class LatticePoint:
     signal: MatrixSignal
 
 
+def _self_grams(family: SignalFamily) -> np.ndarray:
+    """The (K, N, N) stack of <f_k, f_k>: the diagonal of the block Gram."""
+    idx = np.arange(family.k)
+    return block_gram(family).blocks[idx, idx]
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixLattice:
     """A lattice with its cached orthogonalization and determinant."""
@@ -73,11 +81,6 @@ class MatrixLattice:
     def point(self, coeffs) -> LatticePoint:
         """The lattice point sum_k F_k f_k for integer coefficient matrices F_k."""
         arr = np.asarray(coeffs)
-        if arr.shape != (self.k, self.n, self.n):
-            raise DimensionMismatchError(
-                f"expected coefficients of shape ({self.k}, {self.n}, {self.n}), "
-                f"got {arr.shape}"
-            )
         if not np.issubdtype(arr.dtype, np.integer):
             rounded = np.round(arr)
             if not np.array_equal(rounded, arr):
@@ -85,11 +88,27 @@ class MatrixLattice:
             arr = rounded
         exact = arr.astype(np.int64)
         exact.setflags(write=False)
-        synth = np.einsum("kij,kmjl->mil", exact.astype(np.float64), self.basis.coeffs_array)
-        return LatticePoint(exact, MatrixSignal(synth))
+        return LatticePoint(exact, linear_combination(self.basis, exact))
 
     def enumeration_size(self, bound: int) -> int:
         return (2 * bound + 1) ** (self.k * self.n * self.n)
+
+    def _box(self, bound: int, cap: int) -> Iterator[np.ndarray]:
+        """Every int64 (K, N, N) stack with entries in [-bound, bound], lexicographically.
+
+        Ordered by the flattened (k, row, column) entries; raises before the
+        first stack when the bound is negative or the box exceeds ``cap``.
+        """
+        if bound < 0:
+            raise ValueError("bound must be nonnegative")
+        total = self.enumeration_size(bound)
+        if total > cap:
+            raise EnumerationCapError(
+                f"enumeration of {total} points exceeds the cap of {cap}"
+            )
+        shape = (self.k, self.n, self.n)
+        entries = itertools.product(range(-bound, bound + 1), repeat=self.k * self.n * self.n)
+        yield from (np.array(flat, dtype=np.int64).reshape(shape) for flat in entries)
 
     def enumerate_points(
         self, bound: int, cap: int = DEFAULT_ENUMERATION_CAP
@@ -99,53 +118,38 @@ class MatrixLattice:
         The stream visits each coefficient stack exactly once, ordered by the
         flattened (k, row, column) entries.
         """
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        total = self.enumeration_size(bound)
-        if total > cap:
-            raise EnumerationCapError(
-                f"enumeration of {total} points exceeds the cap of {cap}"
-            )
-        entries = self.k * self.n * self.n
-        for flat in itertools.product(range(-bound, bound + 1), repeat=entries):
-            yield self.point(np.array(flat, dtype=np.int64).reshape(self.k, self.n, self.n))
+        return map(self.point, self._box(bound, cap))
 
     def nearest_point(
         self, target: MatrixSignal, bound: int, cap: int = DEFAULT_ENUMERATION_CAP
     ) -> tuple[LatticePoint, float]:
         """Brute-force closest enumerated point to ``target`` in the signal norm.
 
-        Ties keep the lexicographically earliest coefficient stack.
+        Each stack C is scored as ||(T - C R)(T - C R)^H||_F^(1/2), the signal
+        norm of target minus point, with T the target's rows.  Ties keep the
+        lexicographically earliest coefficient stack.
         """
-        if target.n != self.basis.n or target.m != self.basis.m:
-            raise DimensionMismatchError(
-                f"target (n={target.n}, m={target.m}) does not match basis "
-                f"(n={self.basis.n}, m={self.basis.m})"
-            )
-        points = self.enumerate_points(bound, cap)
-        best = next(points)  # the box always holds the origin, so it is never empty
-        best_distance = norm_m(sub(target, best.signal))
-        for candidate in points:
-            distance = norm_m(sub(target, candidate.signal))
-            if distance < best_distance:
-                best, best_distance = candidate, distance
-        return best, float(best_distance)
+        check_same_shape(target, self.basis)
+        target_rows = to_rows(target.coeffs)
+        basis_rows = to_rows(self.basis.coeffs_array)
+
+        def distance(stack: np.ndarray) -> float:
+            diff = target_rows - to_rows(stack) @ basis_rows
+            return float(np.sqrt(np.linalg.norm(diff @ diff.conj().T)))
+
+        best = min(self._box(bound, cap), key=distance)
+        return self.point(best), distance(best)
 
     def gram_identity_residual(self) -> float:
         """Largest Frobenius residual of the Gram-splitting identity per step.
 
         For each k the input Gram must equal the residual Gram plus the
-        mu-conjugated earlier residual Grams.
+        mu-conjugated earlier residual Grams, sum_{l<k} mu[l,k] <f^_l, f^_l> mu[l,k]^H.
         """
-        mu = self.gs.mu
-        residual_grams = [inner_product(h, h) for h in self.gs.ortho]
-        worst = 0.0
-        for k, f in enumerate(self.basis):
-            rhs = residual_grams[k].astype(complex).copy()
-            for l in range(k):
-                rhs += mu[l, k] @ residual_grams[l] @ mu[l, k].conj().T
-            worst = max(worst, float(np.linalg.norm(inner_product(f, f) - rhs)))
-        return worst
+        mu = self.gs.mu  # mu[l, k] is zero for l >= k
+        hat = _self_grams(self.gs.ortho)
+        rhs = hat + np.einsum("lkij,ljp,lkqp->kiq", mu, hat, mu.conj())
+        return float(np.linalg.norm(_self_grams(self.basis) - rhs, axis=(1, 2)).max())
 
     def norm_inequality_holds(self, slack: float = 1e-9) -> bool:
         """Check the norm bounds implied by the Gram-splitting identity.
@@ -153,23 +157,15 @@ class MatrixLattice:
         For each k: ||f_k||^2 <= ||f^_k||^2 + sum_l ||mu[l,k]||_F^2 ||f^_l||^2,
         and ||f_k|| >= ||f^_k||, both with relative slack.
         """
-        mu = self.gs.mu
-        hat_sq = np.asarray(self.gs.step_norms) ** 2
-        for k, f in enumerate(self.basis):
-            f_sq = norm_m(f) ** 2
-            bound = hat_sq[k] + sum(
-                np.linalg.norm(mu[l, k]) ** 2 * hat_sq[l] for l in range(k)
-            )
-            if f_sq > bound + slack * max(1.0, f_sq):
-                return False
-            if f_sq < hat_sq[k] - slack * max(1.0, f_sq):
-                return False
-        return True
+        hat_sq = self.gs.step_norms**2
+        f_sq = np.linalg.norm(_self_grams(self.basis), axis=(1, 2))
+        bound = hat_sq + np.einsum("lk,l->k", np.linalg.norm(self.gs.mu, axis=(2, 3)) ** 2, hat_sq)
+        margin = slack * np.maximum(1.0, f_sq)
+        return bool(np.all(f_sq <= bound + margin) and np.all(f_sq >= hat_sq - margin))
 
 
-def build_lattice(basis: SignalFamily, cfg: ToleranceConfig | None = None) -> MatrixLattice:
+def build_lattice(basis: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MatrixLattice:
     """Validate the basis (real, linearly independent) and cache its orthogonalization."""
-    cfg = cfg or DEFAULT_TOLERANCES
     if basis.field != "real":
         raise NotRealError("lattice basis signals must be real-valued")
     report = is_linearly_independent(basis, cfg)

@@ -59,9 +59,8 @@ def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     return w > cfg.rank_rel_tol * w[-1]
 
 
-def herm_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def herm_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """The principal PSD square root S of a Hermitian PSD matrix, S @ S = P."""
-    cfg = cfg or DEFAULT_TOLERANCES
     w, v = _eigh(p, cfg)
     floor = -cfg.psd_tol * np.linalg.norm(np.asarray(p))
     if w[0] < floor:
@@ -73,14 +72,13 @@ def herm_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
-def herm_inv_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """T with T @ P @ T = I for Hermitian positive definite P.
 
     Raises SingularMatrixError unless every eigenvalue is nonzero under the
     rank rule; for Gram matrices that means a degenerate signal reached an
     orthonormalization step.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     w, v = _eigh(p, cfg)
     if not nonzero_eigenvalues(w, cfg).all():
         raise SingularMatrixError(
@@ -91,31 +89,28 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     return (t + t.conj().T) / 2.0
 
 
-def rank_tol(p, cfg: ToleranceConfig | None = None) -> int:
+def rank_tol(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
-    cfg = cfg or DEFAULT_TOLERANCES
     w, _ = _eigh(p, cfg)
     return int(nonzero_eigenvalues(w, cfg).sum())
 
 
-def null_space_basis(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal columns spanning the (tolerant) null space of a Hermitian PSD matrix.
 
     Complementary to rank_tol: the returned column count is N - rank_tol(P).
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     w, v = _eigh(p, cfg)
     return v[:, ~nonzero_eigenvalues(w, cfg)]
 
 
-def null_space_included(a, null_p, cfg: ToleranceConfig | None = None) -> bool:
+def null_space_included(a, null_p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when null(P) (given by its orthonormal basis) lies inside null(A^H).
 
     Tests ||A^H u||_2 <= rank_rel_tol * max(1, ||A||_F) for every basis column
     u.  An empty basis (full-rank P) is vacuously included; A = 0 absorbs
     everything.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     arr = _as_square(a)
     basis = np.asarray(null_p)
     if basis.size == 0:

@@ -226,6 +226,21 @@ def test_signal_validation():
         ms.MatrixSignal(np.zeros((1, 2, 2)), field="rational")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, imaginary",
+    [("real", False), (None, False), ("complex", False), ("complex", True), (None, True)],
+    ids=["real", "inferred-real", "complex-re", "complex-im", "inferred-im"],
+)
+def test_signal_rejects_non_finite_coefficients(value, field, imaginary):
+    coeffs = np.ones((2, 2, 2), dtype=complex)
+    coeffs[1, 0, 1] = complex(0.0, value) if imaginary else value
+    with pytest.raises(ms.NonFiniteError, match="NaN or Infinity"):
+        ms.MatrixSignal(coeffs, field=field)
+    with pytest.raises(ms.NonFiniteError, match="NaN or Infinity"):
+        ms.SignalFamily.from_coeffs(np.stack([np.ones_like(coeffs), coeffs]), field=field)
+
+
 def test_field_inference_and_storage():
     real = ms.MatrixSignal(np.ones((1, 2, 2), dtype=complex))
     assert real.field == "real"

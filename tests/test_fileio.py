@@ -186,6 +186,30 @@ def test_sampled_signals_reject_non_finite_grid(grid):
     assert info.value.path == "grid"
 
 
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)],
+    ids=["nan", "inf", "-inf", "nan-im", "-inf-im"],
+)
+def test_sampled_signals_reject_non_finite_samples(value):
+    samples = np.ones((1, 3, 1, 1), dtype=complex)
+    samples[0, 1, 0, 0] = value
+    with pytest.raises(ms.SchemaError, match="NaN or Infinity") as info:
+        ms.ingest_sampled(ms.SampledSignals(grid=np.linspace(0.0, 1.0, 3), samples=samples, rule="trapezoid"))
+    assert info.value.path == "samples"
+
+
+@pytest.mark.parametrize(
+    "interval", [(0.0, np.nan), (-np.inf, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 0.5, 1.0)],
+    ids=["nan", "-inf", "empty", "reversed", "triple"],
+)
+def test_sampled_signals_reject_bad_interval(interval):
+    with pytest.raises(ms.SchemaError) as info:
+        ms.SampledSignals(
+            grid=np.linspace(0.0, 1.0, 3), samples=np.ones((1, 3, 1, 1)), rule="trapezoid", interval=interval
+        )
+    assert info.value.path == "interval"
+
+
 def test_gauss_legendre_grid_must_match_nodes():
     sampled = ms.SampledSignals(
         grid=np.array([-0.5, 0.5]),

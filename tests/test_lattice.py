@@ -1,5 +1,7 @@
 """Lattice construction, determinant, enumeration and brute-force search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,79 @@ def test_module_level_wrappers():
     lattice = ms.build_lattice(real_basis(16, 2, 2, 4))
     assert ms.verify_gram_identity(lattice) == lattice.gram_identity_residual()
     assert ms.verify_norm_inequality(lattice) is True
+
+
+def _loop_gram_identity_residual(lattice):
+    """Reference: the Gram-splitting identity checked member by member."""
+    mu = lattice.gs.mu
+    residual_grams = [ms.inner_product(h, h) for h in lattice.gs.ortho]
+    worst = 0.0
+    for k, f in enumerate(lattice.basis):
+        rhs = residual_grams[k].astype(complex).copy()
+        for l in range(k):
+            rhs += mu[l, k] @ residual_grams[l] @ mu[l, k].conj().T
+        worst = max(worst, float(np.linalg.norm(ms.inner_product(f, f) - rhs)))
+    return worst
+
+
+def _loop_norm_inequality_slack(lattice):
+    """Reference: the smallest slack at which the member-by-member norm bounds hold."""
+    mu = lattice.gs.mu
+    hat_sq = np.asarray(lattice.gs.step_norms) ** 2
+    worst = -np.inf
+    for k, f in enumerate(lattice.basis):
+        f_sq = ms.norm_m(f) ** 2
+        bound = hat_sq[k] + sum(np.linalg.norm(mu[l, k]) ** 2 * hat_sq[l] for l in range(k))
+        worst = max(worst, (f_sq - bound) / max(1.0, f_sq), (hat_sq[k] - f_sq) / max(1.0, f_sq))
+    return worst
+
+
+def _perturbed(lattice, rng):
+    """The lattice with a complex-perturbed mu table (l < k only) and rescaled step norms."""
+    k, n = lattice.k, lattice.n
+    earlier = (np.arange(k)[:, None] < np.arange(k))[:, :, None, None]
+    noise = rng.standard_normal((k, k, n, n)) + 1j * rng.standard_normal((k, k, n, n))
+    gs = dataclasses.replace(
+        lattice.gs,
+        mu=lattice.gs.mu + np.where(earlier, 0.1 * noise, 0.0),
+        step_norms=lattice.gs.step_norms * rng.uniform(0.8, 1.2, size=k),
+    )
+    return dataclasses.replace(lattice, gs=gs)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_identity_checks_match_member_loops(k):
+    rng = np.random.default_rng(40 + k)
+    for seed in range(3):
+        built = ms.build_lattice(real_basis(100 * k + seed, k, 2, k + 1))
+        scale = max(np.linalg.norm(ms.inner_product(f, f)) for f in built.basis)
+        for lattice in (built, _perturbed(built, rng)):
+            reference = _loop_gram_identity_residual(lattice)
+            assert abs(lattice.gram_identity_residual() - reference) <= 1e-12 * scale
+            slack = _loop_norm_inequality_slack(lattice)
+            assert lattice.norm_inequality_holds(slack + 1e-12) is True
+            assert lattice.norm_inequality_holds(slack - 1e-12) is False
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_nearest_distance_is_norm_of_difference(seed):
+    rng = np.random.default_rng(seed)
+    lattice = ms.build_lattice(real_basis(seed, 2, 2, 4))
+    ints = rng.integers(-1, 2, size=(2, 2, 2))
+    near = lattice.point(ints).signal.coeffs + 0.05 * rng.standard_normal((4, 2, 2))
+    far = 5.0 * rng.standard_normal((4, 2, 2))
+    for coeffs in (near, far):
+        target = ms.MatrixSignal(coeffs)
+        point, distance = lattice.nearest_point(target, 1)
+        assert distance == ms.norm_m(ms.sub(target, point.signal))
+
+
+def test_nearest_point_matches_scan_oracle_matrix_coefficients():
+    rng = np.random.default_rng(34)
+    lattice = ms.build_lattice(real_basis(34, 2, 2, 4))
+    for scale in (0.5, 3.0):
+        target = ms.MatrixSignal(scale * rng.standard_normal((4, 2, 2)))
+        point, distance = lattice.nearest_point(target, 1)
+        oracle_key, oracle_distance = _scan_oracle(lattice, target, 1)
+        assert distance == pytest.approx(oracle_distance, rel=1e-12)
+        np.testing.assert_array_equal(point.coeffs, oracle_key)
