@@ -18,6 +18,13 @@ no NaN or Infinity (RFC 8259, section 6): load rejects them with SchemaError,
 and save never meets one, because the MatrixSignal and SampledSignals
 constructors refuse non-finite values.
 
+``write_json`` writes exactly the bytes that the standard library's json
+encoder writes with ``indent=1``, plus a newline, so the file format is
+unchanged.  It writes the top-level object and its lists one element at a
+time, and formats each rectangular block of floats below them with one
+``float.__repr__`` pass and one ``str.join`` per axis.  (With an indent the
+standard encoder runs in pure Python, one generator step per float.)
+
 Unknown top-level keys are ignored on load, so report-bearing files written by
 the CLI remain valid signal files.
 """
@@ -28,6 +35,8 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -107,10 +116,96 @@ def read_json(path):
             raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(value) -> str | None:
+    """json's text for a str, None, bool, int or float (subclasses too); None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_scalar_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float_grid_text(value: list | tuple, level: int) -> str | None:
+    """json's indented text for a rectangular nested list of plain floats whose
+    opening bracket sits at indent ``level``; None for any other value."""
+    shape, cells, firsts = [], [value], set()
+    while (kinds := set(map(type, cells))) == {list}:
+        widths = set(map(len, cells))
+        # ragged, or cyclic (json cannot write that either): a descent that never reaches
+        # floats must meet one of its first lists again; an empty axis leaves no float cells
+        if len(widths) != 1 or id(cells[0]) in firsts:
+            return None
+        firsts.add(id(cells[0]))
+        shape.append(widths.pop())
+        cells = list(chain.from_iterable(cells))
+    if kinds != {float}:
+        return None
+    texts = list(map(float.__repr__, cells))
+    for axis in reversed(range(len(shape))):
+        inner = "\n" + " " * (level + axis + 1)
+        head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (level + axis) + "]"
+        texts = [head + sep.join(group) + tail for group in zip(*[iter(texts)] * shape[axis])]
+    # repr spells NaN and Infinity 'nan' and 'inf'; no finite float's repr holds an 'n'
+    return None if "n" in texts[0] else texts[0]
+
+
+def _chunks(value, level: int):
+    """The standard json encoder's text for ``value`` with ``indent=1``, at indent ``level``, in pieces.
+
+    The top-level object and the lists directly under it go one element at a
+    time, so no piece holds more than one of their elements.
+    """
+    text = _scalar_text(value)
+    if text is not None:
+        yield text
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", ((_key_text(key) + ": ", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        text = _float_grid_text(value, level) if level >= 2 else None
+        if text is not None:
+            yield text
+            return
+        brackets, items = "[]", (("", item) for item in value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        yield brackets
+        return
+    inner = "\n" + " " * (level + 1)
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        yield sep + prefix
+        yield from _chunks(item, level + 1)
+        sep = "," + inner
+    yield "\n" + " " * level + brackets[1]
+
+
 def write_json(doc, path=None) -> None:
-    """Write ``doc`` with ``indent=1`` and a trailing newline to ``path``, or to stdout."""
+    """Write ``doc`` to ``path``, or to stdout, byte for byte as the json module does
+    with ``indent=1``, plus a newline.  Types json rejects raise TypeError."""
     with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as handle:
-        json.dump(doc, handle, indent=1)
+        handle.writelines(_chunks(doc, 0))
         handle.write("\n")
 
 

@@ -42,7 +42,8 @@ def _eigh(p, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and unitary eigenvectors of a square Hermitian matrix."""
     arr = _as_square(p)
     deviation = np.linalg.norm(arr - arr.conj().T)
-    if deviation > cfg.hermitian_tol * max(1.0, np.linalg.norm(arr)):
+    # written so that a NaN deviation (inf - inf in an overflowed Gram) fails the test
+    if not deviation <= cfg.hermitian_tol * max(1.0, np.linalg.norm(arr)):
         raise NotHermitianError(
             f"matrix is not Hermitian: ||P - P^H||_F = {deviation:.3e}"
         )

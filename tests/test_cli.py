@@ -261,3 +261,15 @@ def test_orthonormalize_span_residual_matches_member_loop(tmp_path, capsys, fiel
     tol = 1e3 * np.finfo(float).eps * max(ms.norm_m(sig) for sig in family)
     assert reference <= tol
     assert abs(reported - reference) <= tol
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--format", "json"), ("verify",)], ids=["analyze", "verify"])
+def test_overflowing_gram_exits_two(tmp_path, capsys, argv):
+    # <f, f> = 1e400 I overflows to inf * I; a NaN Hermitian deviation is bad input, not a verdict
+    path = tmp_path / "huge.json"
+    ms.save_family(path, ms.SignalFamily.from_coeffs(1e200 * np.eye(2)[None, None], field="real"))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "not Hermitian" in err

@@ -1,9 +1,15 @@
 """JSON round trips, schema validation, and quadrature ingestion."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.polynomial import legendre, polynomial
 
 import matsig as ms
@@ -417,3 +423,91 @@ def test_save_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="NaN or Infinity"):
         ms.save_sampled(path, ms.SampledSignals(grid=grid, samples=samples, rule="trapezoid"))
     assert not path.exists()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+               0.1, float("nan"), float("inf"), float("-inf")]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["", "\u00e9\u2028\U0001f642", "\x00\x1f\x7f\"\\/\n\t"]),
+)
+KEYS = st.one_of(st.text(), st.integers(), FLOATS, st.booleans(), st.none())
+
+
+@st.composite
+def float_grids(draw):
+    """Rectangular float lists as encode_array makes them, some with one cell of another type."""
+    grid = draw(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+                       elements=FLOATS)).tolist()
+    rows = grid
+    while rows and isinstance(rows[0], list) and rows[0]:
+        rows = rows[draw(st.integers(0, len(rows) - 1))]
+    if draw(st.booleans()) and rows and not isinstance(rows[0], list):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(SCALARS)
+    return grid
+
+
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, float_grids()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _written(doc) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        ms.fileio.write_json(doc)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_write_json_is_byte_identical_to_json_module(doc):
+    # float grids sit at every depth, including below the top object's lists, where they are joined whole
+    for wrapped in (doc, {"signals": [doc, doc]}, [[doc]]):
+        assert _written(wrapped) == json.dumps(wrapped, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc", [{"k": np.int64(3)}, {"k": [[1.0, 2.0], [3.0, {1, 2}]]}, [{1, 2}], {(1, 2): 0.5}, np.float32(1.0)]
+)
+def test_write_json_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=1)
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+def test_write_json_stops_on_a_list_that_contains_itself():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        json.dumps([[loop]], indent=1)
+    with pytest.raises(RecursionError):
+        _written([[loop]])
+
+
+def test_write_json_streams_a_family_file(tmp_path):
+    # a (4, 64, 32) complex family file is 2.3 MB; writing it must not build that text in memory
+    family = ms.gen_random_family(11, 4, 64, 32, "independent")
+    doc = ms.fileio.family_to_doc(family)
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        ms.fileio.write_json(doc, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2_000_000
+    assert peak < 1 << 20
+    assert path.read_text() == json.dumps(doc, indent=1) + "\n"

@@ -129,3 +129,9 @@ def test_null_space_included_cases():
 def test_rank_tol_requires_hermitian():
     with pytest.raises(ms.NotHermitianError):
         ms.rank_tol(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_matrix_holding_infinity_is_not_hermitian():
+    # ||P - P^H||_F is nan here (inf - inf); the Hermitian test must fail, not pass
+    with pytest.raises(ms.NotHermitianError):
+        ms.rank_tol(np.diag([np.inf, 1.0]))
