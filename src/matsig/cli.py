@@ -35,6 +35,7 @@ from .independence import (
     rows_linearly_dependent,
 )
 from .lattice import DEFAULT_ENUMERATION_CAP, build_lattice
+from .linalg import _eigvalsh
 
 NORM_EQUIV_SLACK = 1e-9
 
@@ -263,7 +264,7 @@ def cmd_verify(args) -> int:
     )
 
     grams = bg.blocks[np.arange(family.k), np.arange(family.k)]  # self Grams <f_k, f_k>
-    w = np.linalg.eigvalsh((grams + grams.conj().transpose(0, 2, 1)) / 2.0)
+    w = _eigvalsh(grams, cfg)
     floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(grams, axis=(1, 2)))
     worst_psd = float(np.min(w[:, 0] + floors))
     checks.append(("self_gram_psd", worst_psd >= 0.0, f"margin {worst_psd:.3e}"))

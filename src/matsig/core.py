@@ -17,12 +17,15 @@ matrices (``to_rows``), so family-level operations run on the KN x MN matrix R
 of a family's stacked row functions, as one matrix product or factorisation.
 
 All values are immutable after construction and every operation is a pure
-function, so signals and families may be freely shared between threads.
+function, so signals and families may be freely shared between threads.  A
+family computes its orthonormality residual once, on first use, and keeps that
+one float, so repeated expansions against one basis validate it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -233,6 +236,14 @@ class SignalFamily:
     def __repr__(self):
         return f"SignalFamily(k={self.k}, n={self.n}, m={self.m}, field={self.field!r})"
 
+    @cached_property
+    def _orthonormality_residual(self) -> float:
+        # a pure function of the read-only stack; a race only stores the same float twice
+        k, n = self.k, self.n
+        rows = to_rows(self._stack)
+        deviation = (rows @ rows.conj().T - np.eye(k * n)).reshape(k, n, k, n)
+        return float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
+
 
 def to_rows(coeffs: np.ndarray) -> np.ndarray:
     """N x MN rows of a (M, N, N) signal, or KN x MN rows R of a (K, M, N, N) stack.
@@ -345,11 +356,13 @@ def is_orthogonal_b(f: MatrixSignal, g: MatrixSignal, tol: float = DEFAULT_TOLER
 
 
 def orthonormality_residual(family: SignalFamily) -> float:
-    """max over k <= l of ||<Phi_k, Phi_l> - delta(k - l) I_N||_F, from one product R R^H."""
-    k, n = family.k, family.n
-    rows = to_rows(family.coeffs_array)
-    deviation = (rows @ rows.conj().T - np.eye(k * n)).reshape(k, n, k, n)
-    return float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
+    """max over k <= l of ||<Phi_k, Phi_l> - delta(k - l) I_N||_F, from one product R R^H.
+
+    Computed on the first call for a family and stored on it, so later calls
+    (every ``is_orthonormal_set``, ``expand`` and ``parseval_residual`` against
+    the same basis) cost nothing.
+    """
+    return family._orthonormality_residual
 
 
 def is_orthonormal_set(family: SignalFamily, tol: float = DEFAULT_TOLERANCES.ortho_tol) -> bool:

@@ -33,7 +33,14 @@ from .core import (
     norm_m,
     to_rows,
 )
-from .linalg import nonzero_eigenvalues, null_space_basis, null_space_included, rank_tol
+from .linalg import (
+    _eigh,
+    _eigvalsh,
+    nonzero_eigenvalues,
+    null_space_basis,
+    null_space_included,
+    rank_tol,
+)
 
 __all__ = [
     "BlockGram",
@@ -75,12 +82,15 @@ def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when the N row functions of f are linearly dependent.
 
-    Decided by the singular values of the stacked row-coefficient matrix; the
-    threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue threshold
-    used on <f, f> = R R^H, so this agrees with is_degenerate while taking an
-    independent computational route (SVD of R instead of eigh of the Gram).
+    Decided by the singular values of the N x MN row-coefficient matrix R,
+    read off the N x N triangular factor T of the QR factorisation R^H = Q T,
+    which has the same singular values as R and is cheaper to decompose; the
+    threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue
+    threshold used on <f, f> = R R^H, so this agrees with is_degenerate while
+    taking an independent computational route (QR and SVD of R instead of eigh
+    of the Gram).
     """
-    s = np.linalg.svd(to_rows(f.coeffs), compute_uv=False)
+    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).conj().T, mode="r"), compute_uv=False)
     if s[0] == 0.0:
         return True
     rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))
@@ -99,7 +109,7 @@ def is_linearly_independent(
 ) -> IndependenceReport:
     """Rank test of the assembled block Gram matrix."""
     assembled = block_gram(fam).assembled
-    w = np.linalg.eigvalsh((assembled + assembled.conj().T) / 2.0)
+    w = _eigvalsh(assembled, cfg)
     rank = int(nonzero_eigenvalues(w, cfg).sum())
     required = fam.k * fam.n
     return IndependenceReport(rank == required, rank, required, float(w[0]))
@@ -148,7 +158,7 @@ def dependent_witness_search(
     """
     k, n = fam.k, fam.n
     assembled = block_gram(fam).assembled
-    w, v = np.linalg.eigh((assembled + assembled.conj().T) / 2.0)
+    w, v = _eigh(assembled, cfg)
     if w[-1] <= 0:
         # every signal is zero: any single nonzero coefficient violates
         out = np.zeros((k, n, n), dtype=complex)

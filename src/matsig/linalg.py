@@ -7,7 +7,9 @@ exceeds rank_rel_tol * lambda_max, and none does when lambda_max <= 0.  Rank,
 null spaces, invertibility, degeneracy and linear independence all take their
 verdict from that mask.  For the square root, eigenvalues in
 [-psd_tol * ||P||_F, 0) are treated as roundoff from Gram assembly and clamped
-to zero; anything more negative is rejected as indefinite.
+to zero; anything more negative is rejected as indefinite.  Every eigen-solve in
+the package goes through ``_eigh`` or ``_eigvalsh``, whose Hermitian gate turns
+an overflowed Gram (a NaN deviation) into NotHermitianError, not a numpy error.
 """
 
 from __future__ import annotations
@@ -38,16 +40,31 @@ def _as_square(p) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(arr: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """(P + P^H) / 2 of each matrix in an (..., n, n) stack, after the Hermitian gate.
+
+    Raises NotHermitianError unless ||P - P^H||_F <= hermitian_tol * max(1, ||P||_F)
+    for every matrix: every eigen-solve in the package goes through this test.
+    """
+    adjoint = arr.conj().swapaxes(-1, -2)
+    deviation = np.linalg.norm(arr - adjoint, axis=(-2, -1))
+    bound = cfg.hermitian_tol * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    # written so that a NaN deviation (inf - inf in an overflowed Gram) fails the test
+    if not np.all(deviation <= bound):
+        raise NotHermitianError(
+            f"matrix is not Hermitian: ||P - P^H||_F = {np.max(deviation):.3e}"
+        )
+    return (arr + adjoint) / 2.0
+
+
 def _eigh(p, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and unitary eigenvectors of a square Hermitian matrix."""
-    arr = _as_square(p)
-    deviation = np.linalg.norm(arr - arr.conj().T)
-    # written so that a NaN deviation (inf - inf in an overflowed Gram) fails the test
-    if not deviation <= cfg.hermitian_tol * max(1.0, np.linalg.norm(arr)):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: ||P - P^H||_F = {deviation:.3e}"
-        )
-    return np.linalg.eigh((arr + arr.conj().T) / 2.0)
+    return np.linalg.eigh(_hermitian_part(_as_square(p), cfg))
+
+
+def _eigvalsh(p, cfg: ToleranceConfig) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each in an (..., n, n) stack."""
+    return np.linalg.eigvalsh(_hermitian_part(np.asarray(p), cfg))
 
 
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:

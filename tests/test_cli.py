@@ -273,3 +273,16 @@ def test_overflowing_gram_exits_two(tmp_path, capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert "not Hermitian" in err
+
+
+def test_overflowing_eigen_solve_exits_two(tmp_path, capsys):
+    # a finite family whose block Gram overflows made the eigen-solve raise LinAlgError
+    family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
+    path = tmp_path / "scaled.json"
+    ms.save_family(path, ms.SignalFamily.from_coeffs(1e160 * family.coeffs_array, field="real"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "not Hermitian" in err

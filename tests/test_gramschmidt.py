@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import matsig as ms
+from matsig import core
+from matsig.core import orthonormality_residual, to_rows
 from helpers import random_family, random_matrix, random_signal
 from oracles import classical_block_gram_schmidt
 
@@ -289,3 +291,55 @@ def test_degenerate_step_matches_classical_oracle():
             with pytest.raises(ms.DegenerateStepError) as err:
                 algorithm(family)
             assert err.value.step == expected
+
+
+def test_memoized_residual_is_the_fresh_residual():
+    basis = ms.gen_random_family(31, 3, 6, 4, "orthonormal")
+    first = orthonormality_residual(basis)
+    assert orthonormality_residual(basis) == first
+    assert orthonormality_residual(ms.SignalFamily.from_coeffs(basis.coeffs_array.copy())) == first
+    # the defining formula, evaluated outside the library
+    rows = to_rows(basis.coeffs_array)
+    deviation = (rows @ rows.conj().T - np.eye(12)).reshape(4, 3, 4, 3)
+    assert first == float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
+
+
+def test_memoized_residual_keeps_every_tolerance_verdict():
+    family = ms.gen_random_family(32, 2, 4, 3, "independent")
+    residual = orthonormality_residual(family)
+    assert residual > 0.0
+    for _ in range(2):
+        assert not ms.is_orthonormal_set(family, np.nextafter(residual, 0.0))
+        assert ms.is_orthonormal_set(family, residual)
+        assert not ms.is_orthonormal_set(family, residual / 2)
+        assert ms.is_orthonormal_set(family, 2 * residual)
+
+
+def test_expand_rejects_non_orthonormal_basis_on_every_call():
+    family = ms.gen_random_family(33, 2, 4, 3, "independent")
+    for _ in range(3):
+        with pytest.raises(ms.BasisNotOrthonormalError):
+            ms.expand(family[0], family)
+    # the stored value is the residual, not a verdict: a looser tolerance accepts the basis
+    loose = ms.ToleranceConfig(ortho_tol=2 * orthonormality_residual(family))
+    assert ms.expand(family[0], family, loose).shape == (3, 2, 2)
+
+
+def test_one_gram_per_basis_across_the_pipeline(monkeypatch):
+    # in core, only the orthonormality residual turns a whole (K, M, N, N) stack into R
+    families = [ms.gen_random_family(seed, 2, 5, 3, "independent") for seed in (34, 35)]
+    stacks = []
+    original = core.to_rows
+
+    def counting(coeffs):
+        if coeffs.ndim == 4:
+            stacks.append(coeffs.shape)
+        return original(coeffs)
+
+    monkeypatch.setattr(core, "to_rows", counting)
+    for family in families:
+        basis = ms.orthonormalize(family).ortho
+        assert ms.is_orthonormal_set(basis)
+        ms.expand(family[0], basis)
+        ms.parseval_residual(family[1], basis)
+    assert stacks == [(3, 5, 2, 2), (3, 5, 2, 2)]

@@ -3,7 +3,8 @@
 ``python -O`` strips ``assert`` statements, and a bare ``AssertionError`` escapes
 the CLI's error handling as a traceback.  The ``matsig`` namespace re-exports
 only names its modules list in ``__all__``, so a removal cannot leave a stale
-export behind.
+export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
+turns an overflowed Gram into NotHermitianError instead of a numpy LinAlgError.
 """
 
 import ast
@@ -29,6 +30,18 @@ def test_no_assertions_in_library_code():
             if isinstance(node, ast.Assert) or named:
                 offences.append(f"{path.name}:{node.lineno}")
     assert not offences, f"assertions in library code: {offences}"
+
+
+def test_eigen_solves_only_in_linalg():
+    # linalg gates every eigen-solve with the NaN-safe Hermitian test; a direct call skips it
+    offences = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, f"eigen-solves outside linalg.py: {offences}"
 
 
 def test_namespace_exports_match_module_all():

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import matsig as ms
+from matsig.core import to_rows
 from helpers import random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
 from oracles import quadrature_block_gram
 
@@ -291,3 +295,45 @@ def test_report_counts_near_dependence():
     report = ms.is_linearly_independent(ms.SignalFamily((f, g)))
     assert not report.independent
     assert report.min_eigenvalue < 1e-10
+
+
+def test_witness_search_rejects_overflowing_gram():
+    # R R^H of a family scaled by 1e160 overflows; the eigen-solve must see the Hermitian gate
+    family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
+    huge = ms.SignalFamily.from_coeffs(1e160 * family.coeffs_array, field="real")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ms.NotHermitianError):
+            ms.dependent_witness_search(huge)
+        with pytest.raises(ms.NotHermitianError):
+            ms.is_linearly_independent(huge)
+
+
+@st.composite
+def _row_signals(draw):
+    field = draw(st.sampled_from(["real", "complex"]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # dyadic entries, so a 2**e scaling stays exact and in the normal range
+    parts = draw(arrays(np.float64, (2, m, n, n), elements=st.integers(-64, 64).map(lambda v: v / 8)))
+    coeffs = parts[0] + 1j * parts[1] if field == "complex" else parts[0]
+    shape = draw(st.sampled_from(["random", "repeated_row", "scaled"]))
+    if shape == "repeated_row" and n > 1:
+        coeffs[:, draw(st.integers(1, n - 1)), :] = coeffs[:, 0, :]
+    if shape == "scaled":
+        coeffs = coeffs * 2.0 ** draw(st.integers(-900, 900))
+    return ms.MatrixSignal(coeffs, field=field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=_row_signals())
+def test_row_svd_route_matches_plain_svd_hypothesis(f):
+    cfg = ms.DEFAULT_TOLERANCES
+    rows = to_rows(f.coeffs)
+    s = np.linalg.svd(rows, compute_uv=False)
+    # the route rows_linearly_dependent takes: singular values of the N x N factor of R^H = Q T
+    t = np.linalg.svd(np.linalg.qr(rows.conj().T, mode="r"), compute_uv=False)
+    assert np.all(np.abs(t - s) <= 1e-12 * s[0])
+    threshold = np.sqrt(cfg.rank_rel_tol) * s[0]
+    # a singular value within roundoff of the threshold may fall either way on either route
+    if np.all(np.abs(s - threshold) > 1e-12 * s[0]):
+        expected = bool(s[0] == 0.0 or np.sum(s > threshold) < f.n)
+        assert ms.rows_linearly_dependent(f, cfg) == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import matsig as ms
+from matsig.linalg import _eigvalsh
 from helpers import random_psd, random_unitary
 
 
@@ -135,3 +136,15 @@ def test_matrix_holding_infinity_is_not_hermitian():
     # ||P - P^H||_F is nan here (inf - inf); the Hermitian test must fail, not pass
     with pytest.raises(ms.NotHermitianError):
         ms.rank_tol(np.diag([np.inf, 1.0]))
+
+
+def test_stacked_eigenvalues_gate_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_psd(rng, 3), 1e6 * random_psd(rng, 3)])
+    symmetrized = (stack + stack.conj().swapaxes(1, 2)) / 2
+    expected = [np.linalg.eigvalsh(p) for p in symmetrized]
+    np.testing.assert_array_equal(_eigvalsh(stack, ms.DEFAULT_TOLERANCES), expected)
+    # a skew part far below the large matrix's scale still fails its own, small matrix
+    stack[0, 0, 1] += 1e-6
+    with pytest.raises(ms.NotHermitianError):
+        _eigvalsh(stack, ms.DEFAULT_TOLERANCES)
