@@ -63,7 +63,9 @@ from .gramschmidt import (
 )
 from .independence import (
     BlockGram,
+    FamilyAnalysis,
     IndependenceReport,
+    analyze_family,
     block_gram,
     dependent_witness_search,
     is_degenerate,

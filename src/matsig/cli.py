@@ -16,30 +16,13 @@ import sys
 
 import numpy as np
 
-from .core import (
-    ToleranceConfig,
-    is_orthonormal_set,
-    norm_l2,
-    norm_m,
-    orthonormality_residual,
-    to_rows,
-)
+from .core import ToleranceConfig, orthonormality_residual, to_rows
 from .errors import MatrixSignalError
 from .fileio import encode_array, family_to_doc, load_family, save_family, write_json
 from .generate import FAMILY_KINDS, gen_random_family
 from .gramschmidt import orthonormalize
-from .independence import (
-    block_gram,
-    is_degenerate,
-    is_linearly_independent,
-    rows_linearly_dependent,
-)
+from .independence import NORM_EQUIV_SLACK, analyze_family
 from .lattice import DEFAULT_ENUMERATION_CAP, build_lattice
-from .linalg import _eigvalsh
-
-NORM_EQUIV_SLACK = 1e-9
-
-_CLAIMS = {"independent", "orthonormal", "dependent", "contains_degenerate"}
 
 _KIND_CLAIMS = {
     "independent": ["independent"],
@@ -147,17 +130,12 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _tolerances(args)
     family, _ = load_family(args.file)
-    report = is_linearly_independent(family, cfg)
-    bg = block_gram(family)
+    analysis = analyze_family(family, cfg)
+    report = analysis.independence
+    columns = (analysis.degenerate, analysis.rows_dependent, analysis.norm_m, analysis.norm_l2)
     per_signal = [
-        {
-            "index": idx,
-            "degenerate": bool(is_degenerate(sig, cfg)),
-            "rows_linearly_dependent": bool(rows_linearly_dependent(sig, cfg)),
-            "norm_m": norm_m(sig),
-            "norm_l2": norm_l2(sig),
-        }
-        for idx, sig in enumerate(family)
+        {"index": idx, "degenerate": degenerate, "rows_linearly_dependent": dependent, "norm_m": m, "norm_l2": l2}
+        for idx, (degenerate, dependent, m, l2) in enumerate(zip(*(column.tolist() for column in columns)))
     ]
     result = {
         "n": family.n,
@@ -165,14 +143,14 @@ def cmd_analyze(args) -> int:
         "k": family.k,
         "field": family.field,
         "signals": per_signal,
-        "gram_blocks": encode_array(bg.blocks),
+        "gram_blocks": encode_array(analysis.gram.blocks),
         "independence": {
             "independent": report.independent,
             "block_gram_rank": report.block_gram_rank,
             "required_rank": report.required_rank,
             "min_eigenvalue": report.min_eigenvalue,
         },
-        "orthonormal": bool(is_orthonormal_set(family, cfg.ortho_tol)),
+        "orthonormal": analysis.orthonormal,
     }
     if args.format == "json":
         write_json(result)
@@ -212,8 +190,6 @@ def cmd_orthonormalize(args) -> int:
     doc["gram_schmidt"] = {
         "mode": result.mode,
         "reorthogonalized": result.reorthogonalized,
-        "mu": None,
-        "step_norms": None,
         "residuals": {"orthonormality": ortho_residual, "span": span_residual},
     }
     write_json(doc, args.output)
@@ -252,56 +228,31 @@ def cmd_lattice_nearest(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _tolerances(args)
     family, metadata = load_family(args.file)
-    checks: list[tuple[str, bool, str]] = []
-
-    bg = block_gram(family)
-    herm_dev = float(
-        np.linalg.norm(bg.blocks - bg.blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max()
-    )
-    herm_scale = max(1.0, float(np.linalg.norm(bg.assembled)))
-    checks.append(
-        ("gram_hermitian", herm_dev <= cfg.hermitian_tol * herm_scale, f"deviation {herm_dev:.3e}")
-    )
-
-    grams = bg.blocks[np.arange(family.k), np.arange(family.k)]  # self Grams <f_k, f_k>
-    w = _eigvalsh(grams, cfg)
-    floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(grams, axis=(1, 2)))
-    worst_psd = float(np.min(w[:, 0] + floors))
-    checks.append(("self_gram_psd", worst_psd >= 0.0, f"margin {worst_psd:.3e}"))
-
-    equiv_ok = True
-    for sig in family:
-        lower = family.n ** -0.25 * norm_l2(sig)
-        upper = family.n ** 0.5 * norm_l2(sig)
-        value = norm_m(sig)
-        if value < lower * (1 - NORM_EQUIV_SLACK) or value > upper * (1 + NORM_EQUIV_SLACK):
-            equiv_ok = False
-    checks.append(("norm_equivalence", equiv_ok, f"slack {NORM_EQUIV_SLACK:g}"))
-
-    degen = [is_degenerate(sig, cfg) for sig in family]
-    agreement = all(d == rows_linearly_dependent(sig, cfg) for d, sig in zip(degen, family))
-    checks.append(("degeneracy_rank_agreement", agreement, "eigh route vs row-SVD route"))
-
-    claims = metadata.get("claims", [])
-    if claims:
-        report = is_linearly_independent(family, cfg)
-        for claim in claims:
-            if claim not in _CLAIMS:
-                print(f"ignoring unknown claim {claim!r}", file=sys.stderr)
-                continue
-            if claim == "orthonormal":
-                ok = is_orthonormal_set(family, cfg.ortho_tol)
-                detail = f"tolerance {cfg.ortho_tol:g}"
-            elif claim == "independent":
-                ok = report.independent
-                detail = f"rank {report.block_gram_rank}/{report.required_rank}"
-            elif claim == "dependent":
-                ok = not report.independent
-                detail = f"rank {report.block_gram_rank}/{report.required_rank}"
-            else:
-                ok = any(degen)
-                detail = f"degenerate members {[i for i, d in enumerate(degen) if d]}"
-            checks.append((f"claim_{claim}", ok, detail))
+    analysis = analyze_family(family, cfg)
+    report = analysis.independence
+    degenerate = analysis.degenerate.tolist()
+    checks: list[tuple[str, bool, str]] = [
+        ("gram_hermitian", analysis.hermitian, f"deviation {analysis.hermitian_deviation:.3e}"),
+        ("self_gram_psd", analysis.psd_margin >= 0.0, f"margin {analysis.psd_margin:.3e}"),
+        ("norm_equivalence", analysis.norms_equivalent, f"slack {NORM_EQUIV_SLACK:g}"),
+        (
+            "degeneracy_rank_agreement",
+            degenerate == analysis.rows_dependent.tolist(),
+            "eigh route vs row-SVD route",
+        ),
+    ]
+    rank = f"rank {report.block_gram_rank}/{report.required_rank}"
+    claim_checks = {
+        "independent": (report.independent, rank),
+        "orthonormal": (analysis.orthonormal, f"tolerance {cfg.ortho_tol:g}"),
+        "dependent": (not report.independent, rank),
+        "contains_degenerate": (any(degenerate), f"degenerate members {[i for i, d in enumerate(degenerate) if d]}"),
+    }
+    for claim in metadata.get("claims", []):
+        if claim not in claim_checks:
+            print(f"ignoring unknown claim {claim!r}", file=sys.stderr)
+            continue
+        checks.append((f"claim_{claim}", *claim_checks[claim]))
 
     passed = all(ok for _, ok, _ in checks)
     if args.format == "json":

@@ -239,10 +239,8 @@ class SignalFamily:
     @cached_property
     def _orthonormality_residual(self) -> float:
         # a pure function of the read-only stack; a race only stores the same float twice
-        k, n = self.k, self.n
         rows = to_rows(self._stack)
-        deviation = (rows @ rows.conj().T - np.eye(k * n)).reshape(k, n, k, n)
-        return float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
+        return gram_orthonormality_residual(rows @ rows.conj().T, self.k)
 
 
 def to_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -353,6 +351,13 @@ def is_orthogonal_b(f: MatrixSignal, g: MatrixSignal, tol: float = DEFAULT_TOLER
     """
     gram = inner_product(f, g)
     return bool(np.linalg.norm(gram) <= tol * max(1.0, norm_m(f) * norm_m(g)))
+
+
+def gram_orthonormality_residual(gram: np.ndarray, k: int) -> float:
+    """max over k <= l of ||G_kl - delta(k - l) I_N||_F for the assembled KN x KN block Gram G."""
+    n = gram.shape[0] // k
+    deviation = (gram - np.eye(k * n)).reshape(k, n, k, n)
+    return float(np.triu(np.linalg.norm(deviation, axis=(1, 3))).max())
 
 
 def orthonormality_residual(family: SignalFamily) -> float:

@@ -15,15 +15,16 @@ One codec serves both schemas and the CLI's stdout reports: ``encode_array``
 and ``decode_array`` convert (..., N, N) stacks to and from nested [re, im]
 lists, and ``read_json`` / ``write_json`` alone parse and serialise.  JSON has
 no NaN or Infinity (RFC 8259, section 6): load rejects them with SchemaError,
-and save never meets one, because the MatrixSignal and SampledSignals
-constructors refuse non-finite values.
+and ``write_json`` with NonFiniteError, which only a report whose value
+overflowed meets: the constructors refuse non-finite signals and samples.
 
 ``write_json`` writes exactly the bytes that the standard library's json
-encoder writes with ``indent=1``, plus a newline, so the file format is
-unchanged.  It writes the top-level object and its lists one element at a
-time, and formats each rectangular block of floats below them with one
-``float.__repr__`` pass and one ``str.join`` per axis.  (With an indent the
-standard encoder runs in pure Python, one generator step per float.)
+encoder writes with ``indent=1`` and ``allow_nan=False``, plus a newline, so
+the file format is unchanged.  It writes a file's top-level object and its
+lists one element at a time, and formats each rectangular block of floats
+below them with one ``float.__repr__`` pass and one ``str.join`` per axis.
+(With an indent the standard encoder runs in pure Python, one generator step
+per float.)
 
 Unknown top-level keys are ignored on load, so report-bearing files written by
 the CLI remain valid signal files.
@@ -31,18 +32,17 @@ the CLI remain valid signal files.
 
 from __future__ import annotations
 
-import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .core import SignalFamily
-from .errors import SchemaError
+from .errors import NonFiniteError, SchemaError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -116,9 +116,6 @@ def read_json(path):
             raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _scalar_text(value) -> str | None:
     """json's text for a str, None, bool, int or float (subclasses too); None for anything else."""
     if isinstance(value, str):
@@ -133,7 +130,9 @@ def _scalar_text(value) -> str | None:
         return int.__repr__(value)
     if isinstance(value, float):
         text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
+        if text in ("nan", "inf", "-inf"):
+            raise NonFiniteError(f"cannot write {text}: JSON has no NaN or Infinity")
+        return text
     return None
 
 
@@ -203,10 +202,20 @@ def _chunks(value, level: int):
 
 def write_json(doc, path=None) -> None:
     """Write ``doc`` to ``path``, or to stdout, byte for byte as the json module does
-    with ``indent=1``, plus a newline.  Types json rejects raise TypeError."""
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as handle:
-        handle.writelines(_chunks(doc, 0))
-        handle.write("\n")
+    with ``indent=1`` and ``allow_nan=False``, plus a newline.  Types json rejects
+    raise TypeError, NaN and Infinity NonFiniteError; a failed write removes its
+    partial file, and prints nothing to stdout."""
+    if path is None:  # joined before writing, so that a failure prints nothing
+        sys.stdout.write("".join(_chunks(doc, 0)) + "\n")
+        return
+    handle = open(path, "w")
+    try:
+        with handle:
+            handle.writelines(_chunks(doc, 0))
+            handle.write("\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _require(doc: dict, key: str):
@@ -317,6 +326,8 @@ def quadrature_weights(sampled: SampledSignals) -> np.ndarray:
         w[-1] = (grid[-1] - grid[-2]) / 2.0
         w[1:-1] = (grid[2:] - grid[:-2]) / 2.0
         return w
+    from numpy.polynomial import legendre  # here, not at the top: importing it costs each CLI run ~9 ms
+
     a, b = sampled.interval
     nodes, weights = legendre.leggauss(grid.size)
     mapped_nodes = (b - a) / 2.0 * nodes + (a + b) / 2.0

@@ -14,6 +14,10 @@ the definition directly for particular coefficient choices, and
 dependent_witness_search reconstructs an explicit violating choice for any
 rank-deficient family, so the equivalence is itself cross-validated by the
 test suite.
+
+analyze_family reads every verdict on a family off one block Gram R R^H and
+one stacked pass over its members, through the same rule helpers as the
+single-signal functions, so each of its fields equals theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    _freeze,
+    gram_orthonormality_residual,
     inner_product,
     linear_combination,
+    norm_l2,
     norm_m,
     to_rows,
 )
@@ -45,6 +52,8 @@ from .linalg import (
 __all__ = [
     "BlockGram",
     "IndependenceReport",
+    "FamilyAnalysis",
+    "analyze_family",
     "is_degenerate",
     "rows_linearly_dependent",
     "block_gram",
@@ -52,6 +61,8 @@ __all__ = [
     "verify_independence_witness",
     "dependent_witness_search",
 ]
+
+NORM_EQUIV_SLACK = 1e-9  # relative slack of the norm-equivalence bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,22 +90,24 @@ def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
     return rank_tol(inner_product(f, f), cfg) < f.n
 
 
+def _rows_dependent(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """rows_linearly_dependent for each N x MN row matrix R of an (..., N, MN) stack."""
+    s = np.linalg.svd(np.linalg.qr(rows.conj().swapaxes(-1, -2), mode="r"), compute_uv=False)
+    return np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[..., :1], axis=-1) < rows.shape[-2]
+
+
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when the N row functions of f are linearly dependent.
 
     Decided by the singular values of the N x MN row-coefficient matrix R,
     read off the N x N triangular factor T of the QR factorisation R^H = Q T,
-    which has the same singular values as R and is cheaper to decompose; the
-    threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue
-    threshold used on <f, f> = R R^H, so this agrees with is_degenerate while
-    taking an independent computational route (QR and SVD of R instead of eigh
-    of the Gram).
+    which has the same singular values as R and is cheaper to decompose: fewer
+    than N of them above sqrt(rank_rel_tol) * sigma_max (none, for a zero R).
+    That threshold matches the eigenvalue threshold used on <f, f> = R R^H, so
+    this agrees with is_degenerate while taking an independent computational
+    route (QR and SVD of R instead of an eigen-solve of the Gram).
     """
-    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).conj().T, mode="r"), compute_uv=False)
-    if s[0] == 0.0:
-        return True
-    rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))
-    return rank < f.n
+    return bool(_rows_dependent(to_rows(f.coeffs), cfg))
 
 
 def block_gram(fam: SignalFamily) -> BlockGram:
@@ -104,15 +117,78 @@ def block_gram(fam: SignalFamily) -> BlockGram:
     return BlockGram(assembled.reshape(fam.k, fam.n, fam.k, fam.n).swapaxes(1, 2), assembled)
 
 
+def _independence_report(assembled: np.ndarray, required: int, cfg: ToleranceConfig) -> IndependenceReport:
+    """The rank rule on an assembled block Gram that full rank makes ``required``."""
+    w = _eigvalsh(assembled, cfg)
+    rank = int(nonzero_eigenvalues(w, cfg).sum())
+    return IndependenceReport(rank == required, rank, required, float(w[0]))
+
+
 def is_linearly_independent(
     fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Rank test of the assembled block Gram matrix."""
-    assembled = block_gram(fam).assembled
-    w = _eigvalsh(assembled, cfg)
-    rank = int(nonzero_eigenvalues(w, cfg).sum())
-    required = fam.k * fam.n
-    return IndependenceReport(rank == required, rank, required, float(w[0]))
+    return _independence_report(block_gram(fam).assembled, fam.k * fam.n, cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyAnalysis:
+    """Every verdict on a family, from one block Gram; see ``analyze_family``.
+
+    Per-member fields are read-only (K,) arrays.
+    """
+
+    gram: BlockGram
+    independence: IndependenceReport
+    hermitian_deviation: float  # max over k, l of ||<f_k, f_l> - <f_l, f_k>^H||_F
+    hermitian: bool  # hermitian_deviation <= hermitian_tol * max(1, ||G||_F)
+    psd_margin: float  # min over k of lambda_min(<f_k, f_k>) + psd_tol * max(1, ||<f_k, f_k>||_F)
+    degenerate: np.ndarray  # is_degenerate of each member
+    rows_dependent: np.ndarray  # rows_linearly_dependent of each member
+    norm_m: np.ndarray
+    norm_l2: np.ndarray
+    norms_equivalent: bool  # N^(-1/4) ||f||_L2 <= ||f||_M <= N^(1/2) ||f||_L2, within NORM_EQUIV_SLACK
+    orthonormality_residual: float
+    orthonormal: bool  # orthonormality_residual <= ortho_tol
+
+
+def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FamilyAnalysis:
+    """Every family verdict, from one product R R^H and one stacked pass over the K members.
+
+    Each field equals, bit for bit, what the single-signal function returns:
+    ``block_gram``, ``is_linearly_independent``, ``is_degenerate``,
+    ``rows_linearly_dependent``, ``norm_m``, ``norm_l2``, ``orthonormality_residual``.
+    """
+    k, n = fam.k, fam.n
+    gram = block_gram(fam)
+    blocks, assembled = _freeze(gram.blocks), _freeze(gram.assembled)
+    independence = _independence_report(assembled, k * n, cfg)
+    deviation = float(np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max())
+    # two to_rows calls, as inner_product(f, f) makes, so each <f_k, f_k> takes its BLAS route (syrk or gemm)
+    members = to_rows(fam.coeffs_array).reshape(k, n, -1)
+    self_grams = members @ to_rows(fam.coeffs_array).reshape(k, n, -1).conj().swapaxes(-1, -2)
+    # eigh, as rank_tol: eigvalsh moves roundoff eigenvalues, which flips is_degenerate at rank_rel_tol 0
+    w, _ = _eigh(self_grams, cfg)
+    floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(self_grams, axis=(1, 2)))
+    # norm_m's own 2-D norm per member: the stacked norm differs from it in the last bit
+    norms_m = np.array([np.sqrt(np.linalg.norm(gram_k)) for gram_k in self_grams])
+    norms_l2 = np.array([norm_l2(sig) for sig in fam])
+    lower, upper = n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
+    residual = gram_orthonormality_residual(assembled, k)
+    return FamilyAnalysis(
+        gram=gram,
+        independence=independence,
+        hermitian_deviation=deviation,
+        hermitian=deviation <= cfg.hermitian_tol * max(1.0, float(np.linalg.norm(assembled))),
+        psd_margin=float(np.min(w[:, 0] + floors)),
+        degenerate=_freeze(nonzero_eigenvalues(w, cfg).sum(axis=-1) < n),
+        rows_dependent=_freeze(_rows_dependent(members, cfg)),
+        norm_m=_freeze(norms_m),
+        norm_l2=_freeze(norms_l2),
+        norms_equivalent=not np.any((norms_m < lower) | (norms_m > upper)),
+        orthonormality_residual=residual,
+        orthonormal=residual <= cfg.ortho_tol,
+    )
 
 
 def verify_independence_witness(

@@ -286,3 +286,24 @@ def test_overflowing_eigen_solve_exits_two(tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert "not Hermitian" in err
+
+
+@pytest.mark.parametrize(
+    "argv, dims, scale",
+    [
+        (("analyze", "{file}", "--format", "json"), (2, 8, 3), 1e80),
+        (("lattice", "det", "{file}", "--format", "json"), (2, 16, 8), 1e50),
+    ],
+    ids=["analyze-norm_m", "lattice-determinant"],
+)
+def test_non_finite_report_exits_two(tmp_path, capsys, argv, dims, scale):
+    # finite files whose report overflows: ||<f, f>||_F ~ 1e320, and eight step norms ~ 5e50 multiplied
+    family = ms.gen_random_family(1, *dims, "independent", field="real")
+    path = tmp_path / "scaled.json"
+    ms.save_family(path, ms.SignalFamily.from_coeffs(scale * family.coeffs_array, field="real"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, *(arg.format(file=path) for arg in argv))
+    assert code == 2
+    assert out == ""  # no partial report, so no Infinity either
+    assert "Traceback" not in err
+    assert "error:" in err

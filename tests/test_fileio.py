@@ -475,7 +475,13 @@ def _written(doc) -> str:
 def test_write_json_is_byte_identical_to_json_module(doc):
     # float grids sit at every depth, including below the top object's lists, where they are joined whole
     for wrapped in (doc, {"signals": [doc, doc]}, [[doc]]):
-        assert _written(wrapped) == json.dumps(wrapped, indent=1) + "\n"
+        try:
+            expected = json.dumps(wrapped, indent=1, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(ValueError):
+                _written(wrapped)
+        else:
+            assert _written(wrapped) == expected
 
 
 @pytest.mark.parametrize(
@@ -486,6 +492,19 @@ def test_write_json_rejects_what_json_rejects(doc):
         json.dumps(doc, indent=1)
     with pytest.raises(TypeError):
         _written(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_write_json_refuses_non_finite_and_leaves_nothing(tmp_path, value):
+    doc = {"n": 1, "grid": [[1.0, 2.0]] * 3 + [[1.0, value]], "last": 0.5}
+    path = tmp_path / "report.json"
+    path.write_text("old")
+    with pytest.raises(ms.NonFiniteError):
+        ms.fileio.write_json(doc, path)
+    assert not path.exists()
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(ms.NonFiniteError):
+        ms.fileio.write_json(doc)
+    assert out.getvalue() == ""
 
 
 def test_write_json_stops_on_a_list_that_contains_itself():

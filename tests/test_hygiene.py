@@ -5,10 +5,16 @@ the CLI's error handling as a traceback.  The ``matsig`` namespace re-exports
 only names its modules list in ``__all__``, so a removal cannot leave a stale
 export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
 turns an overflowed Gram into NotHermitianError instead of a numpy LinAlgError.
+The CLI takes every family verdict from ``analyze_family``, so it names none of
+the single-signal functions a second verdict path would call, and importing it
+loads no module that only sampled-file ingestion needs.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import matsig
@@ -60,3 +66,36 @@ def test_namespace_exports_match_module_all():
         missing += [f"{module_name}.{name}" for name in exported if not hasattr(module, name)]
     assert not stale, f"matsig imports names missing from their module's __all__: {stale}"
     assert not missing, f"__all__ entries that do not resolve: {missing}"
+
+
+VERDICT_FUNCTIONS = {
+    "block_gram",
+    "inner_product",
+    "is_degenerate",
+    "rows_linearly_dependent",
+    "is_linearly_independent",
+    "is_orthonormal_set",
+    "norm_m",
+    "norm_l2",
+    "_eigvalsh",
+}
+
+
+def test_cli_takes_verdicts_from_one_analysis():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    offences = []
+    for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli))):
+        names = [node.id] if isinstance(node, ast.Name) else []
+        if isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        offences += [f"cli.py:{getattr(node, 'lineno', '?')} {name}" for name in names if name in VERDICT_FUNCTIONS]
+    assert not offences, f"cli.py computes verdicts outside analyze_family: {offences}"
+
+
+def test_cli_import_skips_numpy_polynomial():
+    src = str(Path(matsig.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, matsig, matsig.cli; print('numpy.polynomial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

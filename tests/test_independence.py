@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matsig as ms
-from matsig.core import to_rows
+from matsig.core import orthonormality_residual, to_rows
 from helpers import random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
 from oracles import quadrature_block_gram
 
@@ -337,3 +337,41 @@ def test_row_svd_route_matches_plain_svd_hypothesis(f):
     if np.all(np.abs(s - threshold) > 1e-12 * s[0]):
         expected = bool(s[0] == 0.0 or np.sum(s > threshold) < f.n)
         assert ms.rows_linearly_dependent(f, cfg) == expected
+
+
+@st.composite
+def _generated_families(draw):
+    kind = draw(st.sampled_from(ms.FAMILY_KINDS))
+    # M >= 16 with N >= 2 is where a real self Gram's BLAS route (syrk or gemm) changes its bits
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    assume(kind != "dependent" or m >= 2)
+    k = draw(st.integers(2 if kind == "dependent" else 1, min(m, 8)))
+    field = draw(st.sampled_from(["real", "complex"]))
+    return ms.gen_random_family(draw(st.integers(0, 2**32 - 1)), n, m, k, kind, field=field)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# rank_rel_tol 0 puts every degenerate member's roundoff eigenvalue on the threshold, so the
+# analysis's degeneracy must come from the very eigenvalues is_degenerate uses
+@settings(max_examples=150, deadline=None)
+@given(family=_generated_families(), tol=st.sampled_from([1e-10, 0.0]))
+def test_analysis_matches_single_signal_functions(family, tol):
+    cfg = ms.ToleranceConfig(rank_rel_tol=tol)
+    analysis = ms.analyze_family(family, cfg)
+    gram = ms.block_gram(family)
+    assert analysis.gram.blocks.tobytes() == gram.blocks.tobytes()
+    assert analysis.gram.assembled.tobytes() == gram.assembled.tobytes()
+    assert analysis.independence == ms.is_linearly_independent(family, cfg)
+    assert analysis.degenerate.tolist() == [ms.is_degenerate(f, cfg) for f in family]
+    assert analysis.rows_dependent.tolist() == [ms.rows_linearly_dependent(f, cfg) for f in family]
+    assert _bits(analysis.norm_m) == _bits([ms.norm_m(f) for f in family])
+    assert _bits(analysis.norm_l2) == _bits([ms.norm_l2(f) for f in family])
+    assert _bits(analysis.orthonormality_residual) == _bits(orthonormality_residual(family))
+    assert analysis.orthonormal == ms.is_orthonormal_set(family, cfg.ortho_tol)
+    # invariants of every family: a Hermitian PSD Gram, and the norm equivalence of criterion 1
+    assert analysis.hermitian and analysis.psd_margin >= 0.0 and analysis.norms_equivalent
+    for array in (analysis.gram.blocks, analysis.degenerate, analysis.rows_dependent, analysis.norm_m):
+        assert not array.flags.writeable
