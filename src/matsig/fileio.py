@@ -32,8 +32,10 @@ the CLI remain valid signal files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -203,18 +205,21 @@ def _chunks(value, level: int):
 def write_json(doc, path=None) -> None:
     """Write ``doc`` to ``path``, or to stdout, byte for byte as the json module does
     with ``indent=1`` and ``allow_nan=False``, plus a newline.  Types json rejects
-    raise TypeError, NaN and Infinity NonFiniteError; a failed write removes its
-    partial file, and prints nothing to stdout."""
+    raise TypeError, NaN and Infinity NonFiniteError.  A failed write prints nothing
+    to stdout, and removes a partial regular file; a FIFO, device or symlink at
+    ``path`` stays."""
     if path is None:  # joined before writing, so that a failure prints nothing
         sys.stdout.write("".join(_chunks(doc, 0)) + "\n")
         return
     handle = open(path, "w")
     try:
-        with handle:
+        with handle:  # a failed flush on close counts as a failed write
             handle.writelines(_chunks(doc, 0))
             handle.write("\n")
     except BaseException:
-        os.remove(path)
+        with contextlib.suppress(OSError):  # the original error, not a failed cleanup, is reported
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         raise
 
 

@@ -15,9 +15,8 @@ dependent_witness_search reconstructs an explicit violating choice for any
 rank-deficient family, so the equivalence is itself cross-validated by the
 test suite.
 
-analyze_family reads every verdict on a family off one block Gram R R^H and
-one stacked pass over its members, through the same rule helpers as the
-single-signal functions, so each of its fields equals theirs bit for bit.
+analyze_family reads every family verdict off one block Gram R R^H, and
+each member's verdicts and norms from the single-signal functions above.
 """
 
 from __future__ import annotations
@@ -90,24 +89,22 @@ def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
     return rank_tol(inner_product(f, f), cfg) < f.n
 
 
-def _rows_dependent(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """rows_linearly_dependent for each N x MN row matrix R of an (..., N, MN) stack."""
-    s = np.linalg.svd(np.linalg.qr(rows.conj().swapaxes(-1, -2), mode="r"), compute_uv=False)
-    return np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[..., :1], axis=-1) < rows.shape[-2]
-
-
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when the N row functions of f are linearly dependent.
 
     Decided by the singular values of the N x MN row-coefficient matrix R,
     read off the N x N triangular factor T of the QR factorisation R^H = Q T,
-    which has the same singular values as R and is cheaper to decompose: fewer
-    than N of them above sqrt(rank_rel_tol) * sigma_max (none, for a zero R).
-    That threshold matches the eigenvalue threshold used on <f, f> = R R^H, so
-    this agrees with is_degenerate while taking an independent computational
-    route (QR and SVD of R instead of an eigen-solve of the Gram).
+    which has the same singular values as R and is cheaper to decompose; the
+    threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue
+    threshold used on <f, f> = R R^H, so this agrees with is_degenerate while
+    taking an independent computational route (QR and SVD of R instead of eigh
+    of the Gram).
     """
-    return bool(_rows_dependent(to_rows(f.coeffs), cfg))
+    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).conj().T, mode="r"), compute_uv=False)
+    if s[0] == 0.0:
+        return True
+    rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))
+    return rank < f.n
 
 
 def block_gram(fam: SignalFamily) -> BlockGram:
@@ -153,38 +150,33 @@ class FamilyAnalysis:
 
 
 def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FamilyAnalysis:
-    """Every family verdict, from one product R R^H and one stacked pass over the K members.
+    """Every family verdict, from one product R R^H and the single-signal functions per member.
 
-    Each field equals, bit for bit, what the single-signal function returns:
-    ``block_gram``, ``is_linearly_independent``, ``is_degenerate``,
-    ``rows_linearly_dependent``, ``norm_m``, ``norm_l2``, ``orthonormality_residual``.
+    The per-member fields are ``is_degenerate``, ``rows_linearly_dependent``,
+    ``norm_m`` and ``norm_l2`` of each member; ``gram``, ``independence`` and
+    ``orthonormality_residual`` equal what ``block_gram``,
+    ``is_linearly_independent`` and ``orthonormality_residual`` return.
     """
-    k, n = fam.k, fam.n
+    k = fam.k
     gram = block_gram(fam)
     blocks, assembled = _freeze(gram.blocks), _freeze(gram.assembled)
-    independence = _independence_report(assembled, k * n, cfg)
     deviation = float(np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max())
-    # two to_rows calls, as inner_product(f, f) makes, so each <f_k, f_k> takes its BLAS route (syrk or gemm)
-    members = to_rows(fam.coeffs_array).reshape(k, n, -1)
-    self_grams = members @ to_rows(fam.coeffs_array).reshape(k, n, -1).conj().swapaxes(-1, -2)
-    # eigh, as rank_tol: eigvalsh moves roundoff eigenvalues, which flips is_degenerate at rank_rel_tol 0
-    w, _ = _eigh(self_grams, cfg)
+    self_grams = blocks[np.arange(k), np.arange(k)]  # <f_k, f_k>
     floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(self_grams, axis=(1, 2)))
-    # norm_m's own 2-D norm per member: the stacked norm differs from it in the last bit
-    norms_m = np.array([np.sqrt(np.linalg.norm(gram_k)) for gram_k in self_grams])
-    norms_l2 = np.array([norm_l2(sig) for sig in fam])
-    lower, upper = n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
+    members = [(is_degenerate(sig, cfg), rows_linearly_dependent(sig, cfg), norm_m(sig), norm_l2(sig)) for sig in fam]
+    degenerate, rows_dependent, norms_m, norms_l2 = (_freeze(np.array(column)) for column in zip(*members))
+    lower, upper = fam.n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), fam.n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
     residual = gram_orthonormality_residual(assembled, k)
     return FamilyAnalysis(
         gram=gram,
-        independence=independence,
+        independence=_independence_report(assembled, k * fam.n, cfg),
         hermitian_deviation=deviation,
         hermitian=deviation <= cfg.hermitian_tol * max(1.0, float(np.linalg.norm(assembled))),
-        psd_margin=float(np.min(w[:, 0] + floors)),
-        degenerate=_freeze(nonzero_eigenvalues(w, cfg).sum(axis=-1) < n),
-        rows_dependent=_freeze(_rows_dependent(members, cfg)),
-        norm_m=_freeze(norms_m),
-        norm_l2=_freeze(norms_l2),
+        psd_margin=float(np.min(_eigvalsh(self_grams, cfg)[:, 0] + floors)),
+        degenerate=degenerate,
+        rows_dependent=rows_dependent,
+        norm_m=norms_m,
+        norm_l2=norms_l2,
         norms_equivalent=not np.any((norms_m < lower) | (norms_m > upper)),
         orthonormality_residual=residual,
         orthonormal=residual <= cfg.ortho_tol,

@@ -58,8 +58,8 @@ def _hermitian_part(arr: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 
 
 def _eigh(p, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and unitary eigenvectors of a Hermitian matrix, or of each in an (..., n, n) stack."""
-    return np.linalg.eigh(_hermitian_part(np.asarray(p), cfg))
+    """Ascending eigenvalues and unitary eigenvectors of a square Hermitian matrix."""
+    return np.linalg.eigh(_hermitian_part(_as_square(p), cfg))
 
 
 def _eigvalsh(p, cfg: ToleranceConfig) -> np.ndarray:
@@ -70,17 +70,16 @@ def _eigvalsh(p, cfg: ToleranceConfig) -> np.ndarray:
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """The rank rule: mask of ascending eigenvalues w above rank_rel_tol * lambda_max.
 
-    ``w`` holds one spectrum or an (..., n) stack of them, each with lambda_max =
-    w[..., -1].  A row is all False when its lambda_max <= 0, so the zero matrix
-    has rank 0.
+    All False when lambda_max <= 0, so the zero matrix has rank 0.
     """
-    top = w[..., -1:]
-    return (w > cfg.rank_rel_tol * top) & (top > 0)
+    if w[-1] <= 0:
+        return np.zeros(w.shape, dtype=bool)
+    return w > cfg.rank_rel_tol * w[-1]
 
 
 def herm_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """The principal PSD square root S of a Hermitian PSD matrix, S @ S = P."""
-    w, v = _eigh(_as_square(p), cfg)
+    w, v = _eigh(p, cfg)
     floor = -cfg.psd_tol * np.linalg.norm(np.asarray(p))
     if w[0] < floor:
         raise IndefiniteError(
@@ -98,7 +97,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     rank rule; for Gram matrices that means a degenerate signal reached an
     orthonormalization step.
     """
-    w, v = _eigh(_as_square(p), cfg)
+    w, v = _eigh(p, cfg)
     if not nonzero_eigenvalues(w, cfg).all():
         raise SingularMatrixError(
             f"matrix is singular at rank tolerance: eigenvalue range "
@@ -110,7 +109,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def rank_tol(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
-    w, _ = _eigh(_as_square(p), cfg)
+    w, _ = _eigh(p, cfg)
     return int(nonzero_eigenvalues(w, cfg).sum())
 
 
@@ -119,7 +118,7 @@ def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray
 
     Complementary to rank_tol: the returned column count is N - rank_tol(P).
     """
-    w, v = _eigh(_as_square(p), cfg)
+    w, v = _eigh(p, cfg)
     return v[:, ~nonzero_eigenvalues(w, cfg)]
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -505,6 +508,31 @@ def test_write_json_refuses_non_finite_and_leaves_nothing(tmp_path, value):
     with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(ms.NonFiniteError):
         ms.fileio.write_json(doc)
     assert out.getvalue() == ""
+
+
+def test_write_json_keeps_a_fifo_whose_reader_closes_early(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+
+    def read_one_byte():
+        with open(fifo, "rb") as pipe:
+            pipe.read(1)
+
+    reader = threading.Thread(target=read_one_byte, daemon=True)
+    reader.start()
+    with pytest.raises(BrokenPipeError):
+        ms.fileio.write_json({"grid": [[0.5] * 1000] * 1000}, fifo)  # 5 MB: far more than a pipe holds
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_write_json_keeps_a_symlink_it_wrote_through(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    with pytest.raises(ms.NonFiniteError):
+        ms.fileio.write_json({"value": float("nan")}, link)
+    assert link.is_symlink()
 
 
 def test_write_json_stops_on_a_list_that_contains_itself():

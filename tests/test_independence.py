@@ -342,7 +342,6 @@ def test_row_svd_route_matches_plain_svd_hypothesis(f):
 @st.composite
 def _generated_families(draw):
     kind = draw(st.sampled_from(ms.FAMILY_KINDS))
-    # M >= 16 with N >= 2 is where a real self Gram's BLAS route (syrk or gemm) changes its bits
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
     assume(kind != "dependent" or m >= 2)
     k = draw(st.integers(2 if kind == "dependent" else 1, min(m, 8)))
@@ -354,8 +353,7 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-# rank_rel_tol 0 puts every degenerate member's roundoff eigenvalue on the threshold, so the
-# analysis's degeneracy must come from the very eigenvalues is_degenerate uses
+# rank_rel_tol 0 puts every degenerate member's roundoff eigenvalue on the threshold
 @settings(max_examples=150, deadline=None)
 @given(family=_generated_families(), tol=st.sampled_from([1e-10, 0.0]))
 def test_analysis_matches_single_signal_functions(family, tol):
