@@ -104,28 +104,13 @@ class MatrixSignal:
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise DimensionMismatchError(
-                f"coeffs must have shape (M, N, N), got {arr.shape}"
-            )
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionMismatchError("M and N must both be at least 1")
+        if arr.ndim != 3:
+            raise DimensionMismatchError(f"coeffs must have shape (M, N, N), got {arr.shape}")
+        _check_member_shape(arr.shape)
         field = self.field
         if field is None:
             field = "complex" if (np.iscomplexobj(arr) and np.any(arr.imag)) else "real"
-        if field == "real":
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag):
-                    raise ValueError("field='real' but coefficients have imaginary parts")
-                arr = arr.real
-            arr = np.array(arr, dtype=np.float64)
-        elif field == "complex":
-            arr = np.array(arr, dtype=np.complex128)
-        else:
-            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("coefficients hold NaN or Infinity")
-        object.__setattr__(self, "coeffs", _freeze(arr))
+        object.__setattr__(self, "coeffs", _freeze(_typed_copy(arr, field)))
         object.__setattr__(self, "field", field)
 
     @property
@@ -147,6 +132,31 @@ class MatrixSignal:
 
     def __repr__(self):
         return f"MatrixSignal(n={self.n}, m={self.m}, field={self.field!r})"
+
+
+def _check_member_shape(shape: tuple[int, ...]) -> None:
+    """Raise DimensionMismatchError unless ``shape`` is (M, N, N) with M, N >= 1."""
+    if shape[1] != shape[2]:
+        raise DimensionMismatchError(f"coeffs must have shape (M, N, N), got {shape}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise DimensionMismatchError("M and N must both be at least 1")
+
+
+def _typed_copy(arr: np.ndarray, field: str) -> np.ndarray:
+    """A finite float64 ("real") or complex128 ("complex") copy of ``arr`` in its memory order."""
+    if field == "real":
+        if np.iscomplexobj(arr):
+            if np.any(arr.imag):
+                raise ValueError("field='real' but coefficients have imaginary parts")
+            arr = arr.real
+        arr = np.array(arr, dtype=np.float64)
+    elif field == "complex":
+        arr = np.array(arr, dtype=np.complex128)
+    else:
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("coefficients hold NaN or Infinity")
+    return arr
 
 
 def zero_signal(n: int, m: int, field: str = "real") -> MatrixSignal:
@@ -185,23 +195,47 @@ class SignalFamily:
                 raise DimensionMismatchError(
                     f"signals[{idx}] has (n, m)=({sig.n}, {sig.m}), expected ({n}, {m})"
                 )
-        stack = _freeze(np.stack([sig.coeffs for sig in signals]))
+        self._adopt(np.stack([sig.coeffs for sig in signals]), [sig.field for sig in signals])
+
+    def _adopt(self, stack: np.ndarray, fields) -> None:
+        """Store ``stack`` read-only, with member k a view of stack[k] tagged fields[k]."""
+        stack = _freeze(stack)
         members = tuple(
-            _member(stack[idx] if sig.coeffs.dtype == stack.dtype else stack[idx].real, sig.field)
-            for idx, sig in enumerate(signals)
+            _member(stack[idx].real if field == "real" else stack[idx], field)
+            for idx, field in enumerate(fields)
         )
         object.__setattr__(self, "signals", members)
         object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def from_coeffs(cls, coeffs, field: str | None = None) -> "SignalFamily":
-        """Build a family from an array of shape (K, M, N, N)."""
+        """Build a family from an array of shape (K, M, N, N), with one copy of it.
+
+        The checks, the exceptions and the stored bytes and strides are those of
+        ``SignalFamily(tuple(MatrixSignal(c, field) for c in coeffs))``.
+        """
         arr = np.asarray(coeffs)
         if arr.ndim != 4:
             raise DimensionMismatchError(
                 f"expected a (K, M, N, N) coefficient array, got shape {arr.shape}"
             )
-        return cls(tuple(MatrixSignal(arr[k], field=field) for k in range(arr.shape[0])))
+        if arr.shape[0] < 1:
+            raise DimensionMismatchError("a family needs at least one signal")
+        _check_member_shape(arr.shape[1:])
+        if field is None:
+            tags = np.any(arr.imag, axis=(1, 2, 3)) if np.iscomplexobj(arr) else np.zeros(len(arr), bool)
+            fields = ["complex" if tag else "real" for tag in tags]
+            stack = _typed_copy(arr, "complex" if tags.any() else "real")
+            if tags.any():
+                stack.imag[~tags] = 0.0  # a real member enters a complex stack as x + 0j, never x - 0j
+        else:
+            fields = [field] * arr.shape[0]
+            stack = _typed_copy(arr, field)
+        if stack.strides[0] * arr.shape[0] != stack.nbytes:
+            stack = np.stack(list(stack))  # K is not the outermost axis, as in a Fortran-order input
+        family = object.__new__(cls)
+        family._adopt(stack, fields)
+        return family
 
     @property
     def k(self) -> int:

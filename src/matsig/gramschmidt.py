@@ -11,12 +11,16 @@ residuals f^_k together with their mu coefficients
 
     f^_k = f_k - sum_{l<k} mu[l, k] f^_l,   mu[l, k] = <f_k, f^_l> <f^_l, f^_l>^{-1}.
 
-Both come from one Householder QR factorisation R^H = Q^H L^H of the family's
-KN x MN row matrix R (row block k holds f_k), i.e. R = L Q with L lower
-block-triangular and Q with orthonormal rows.  Then f^_k = L_kk Q_k,
+Both come from one Householder QR factorisation of the family's KN x MN row
+matrix R (row block k holds f_k), R = L Q with L lower block-triangular and Q
+with orthonormal rows.  It is computed as R^T = Q^T L^T, the QR of the
+transpose, a view of R: Householder QR commutes with conjugation bit for bit,
+so this gives the conjugates of the factors of R^H = Q^H L^H without a
+conjugate copy of R.  Then f^_k = L_kk Q_k (f^_1 = f_1 exactly),
 mu[l, k] = L_kl L_ll^{-1}, and g_k = polar(L_kk) Q_k with polar(L) = U V^H from
 the SVD L = U S V^H: exactly the classical output, with the backward stability
-of Householder QR, so no reorthogonalization pass is needed.
+of Householder QR, so no reorthogonalization pass is needed.  The residuals
+inherit Q's orthogonality instead of cancelling f_k against its predecessors.
 
 Each step inverts its residual Gram L_kk L_kk^H, so a degenerate residual is
 reported as DegenerateStepError at its step: that failure mode is precisely
@@ -78,27 +82,29 @@ class GramSchmidtResult:
 
 
 def _factor(fam: SignalFamily, cfg: ToleranceConfig):
-    """R, the (K, N, K, N) blocks of L, Q, and polar factors and singular values of L_kk.
+    """The (K, N, K, N) blocks of L, the L_kk, the rows of Q, and polar factors and singular values of L_kk.
 
     Step k is degenerate when sigma_min(L_kk)^2 <= rank_rel_tol *
     max(sigma_max(L_kk)^2, ||<f_k, f_k>||_F).  The anchor is the scale of the
     *unprojected* signal: a residual that cancelled to roundoff has a tiny but
     well-shaped spectrum of its own, and only the outside anchor exposes it.
-    With M < K the rows span at most MN dimensions, so step M is degenerate.
+    It is read off L as ||L_k L_k^H||_F, L_k the k-th block row of L, since
+    <f_k, f_k> = L_k Q Q^H L_k^H.  With M < K the rows span at most MN
+    dimensions, so step M is degenerate.
     """
     k, n, steps = fam.k, fam.n, min(fam.k, fam.m)
-    rows = to_rows(fam.coeffs_array)
-    q, upper = np.linalg.qr(rows.conj().T)
-    lower = upper.conj().T.reshape(k, n, steps, n)
-    u, s, vh = np.linalg.svd(lower[np.arange(steps), :, np.arange(steps), :])
-    members = rows.reshape(k, n, -1)[:steps]
-    anchors = np.linalg.norm(members @ members.conj().transpose(0, 2, 1), axis=(1, 2))
+    q, upper = np.linalg.qr(to_rows(fam.coeffs_array).T)
+    lower = upper.T.reshape(k, n, steps, n)
+    diagonal = lower[np.arange(steps), :, np.arange(steps), :]
+    u, s, vh = np.linalg.svd(diagonal)
+    block_rows = lower[:steps].reshape(steps, n, steps * n)
+    anchors = np.linalg.norm(block_rows @ block_rows.conj().transpose(0, 2, 1), axis=(1, 2))
     passed = s[:, -1] ** 2 > cfg.rank_rel_tol * np.maximum(s[:, 0] ** 2, anchors)
     if not passed.all():
         raise DegenerateStepError(int(np.argmin(passed)))
     if steps < k:
         raise DegenerateStepError(steps)
-    return rows, lower, q.conj().T, u @ vh, s
+    return lower, diagonal, q.T, u @ vh, s
 
 
 def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramSchmidtResult:
@@ -118,15 +124,15 @@ def orthonormalize(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
 
 def orthogonalize(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> GramSchmidtResult:
     """Pairwise-orthogonalize without normalizing, returning the mu table."""
-    rows, lower, q, _, s = _factor(fam, cfg)
+    lower, diagonal, q, _, s = _factor(fam, cfg)
     k, n = fam.k, fam.n
+    residuals = diagonal @ q.reshape(k, n, -1)
+    residuals[0] = to_rows(fam.coeffs_array[0])  # f^_1 = f_1 exactly, not L_11 Q_1 up to roundoff
     earlier = np.arange(k)[:, None] < np.arange(k)  # earlier[l, k]: step l precedes step k
-    strict = np.where(earlier.T[:, None, :, None], lower, 0.0).reshape(k * n, k * n)
-    residuals = rows - strict @ q  # block row 0 of strict is zero, so f^_1 = f_1 exactly
-    inverses = np.linalg.inv(lower[np.arange(k), :, np.arange(k), :])
+    inverses = np.linalg.inv(diagonal)
     mu = np.where(earlier[:, :, None, None], lower.transpose(2, 0, 1, 3) @ inverses[:, None], 0.0)
     return GramSchmidtResult(
-        ortho=SignalFamily.from_coeffs(from_rows(residuals, n), field=fam.field),
+        ortho=SignalFamily.from_coeffs(from_rows(residuals.reshape(k * n, -1), n), field=fam.field),
         mu=mu,
         step_norms=np.sqrt(np.linalg.norm(s**2, axis=1)),
         mode="orthogonalize",

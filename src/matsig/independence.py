@@ -93,14 +93,14 @@ def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLE
     """True when the N row functions of f are linearly dependent.
 
     Decided by the singular values of the N x MN row-coefficient matrix R,
-    read off the N x N triangular factor T of the QR factorisation R^H = Q T,
+    read off the N x N triangular factor T of the QR factorisation R^T = Q T,
     which has the same singular values as R and is cheaper to decompose; the
     threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue
     threshold used on <f, f> = R R^H, so this agrees with is_degenerate while
     taking an independent computational route (QR and SVD of R instead of eigh
     of the Gram).
     """
-    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).conj().T, mode="r"), compute_uv=False)
+    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).T, mode="r"), compute_uv=False)
     if s[0] == 0.0:
         return True
     rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))

@@ -9,7 +9,7 @@ verdict from that mask.  For the square root, eigenvalues in
 [-psd_tol * ||P||_F, 0) are treated as roundoff from Gram assembly and clamped
 to zero; anything more negative is rejected as indefinite.  Every eigen-solve in
 the package goes through ``_eigh`` or ``_eigvalsh``, whose Hermitian gate turns
-an overflowed Gram (a NaN deviation) into NotHermitianError, not a numpy error.
+an overflowed Gram (a NaN deviation) into NonFiniteError, not a numpy error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (
     DimensionMismatchError,
     IndefiniteError,
+    NonFiniteError,
     NotHermitianError,
     SingularMatrixError,
 )
@@ -45,12 +46,15 @@ def _hermitian_part(arr: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 
     Raises NotHermitianError unless ||P - P^H||_F <= hermitian_tol * max(1, ||P||_F)
     for every matrix: every eigen-solve in the package goes through this test.
+    A non-finite deviation (inf - inf in an overflowed Gram) raises NonFiniteError.
     """
     adjoint = arr.conj().swapaxes(-1, -2)
     deviation = np.linalg.norm(arr - adjoint, axis=(-2, -1))
     bound = cfg.hermitian_tol * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
-    # written so that a NaN deviation (inf - inf in an overflowed Gram) fails the test
+    # written so that a NaN deviation fails the test
     if not np.all(deviation <= bound):
+        if not np.isfinite(deviation).all():
+            raise NonFiniteError(f"matrix overflowed: ||P - P^H||_F = {np.max(deviation):.3e}")
         raise NotHermitianError(
             f"matrix is not Hermitian: ||P - P^H||_F = {np.max(deviation):.3e}"
         )
@@ -109,8 +113,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def rank_tol(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
-    w, _ = _eigh(p, cfg)
-    return int(nonzero_eigenvalues(w, cfg).sum())
+    return int(nonzero_eigenvalues(_eigvalsh(_as_square(p), cfg), cfg).sum())
 
 
 def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

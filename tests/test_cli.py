@@ -205,13 +205,13 @@ def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):
 
 
 def test_gen_failed_self_check_exits_two(tmp_path, capsys):
-    # --tol-rank 0 calls every draw nondegenerate, so the construction cannot verify itself
+    # at --tol-rank 1 no eigenvalue exceeds lambda_max, so every base draw is degenerate
     code, _, err = run(
         capsys, "gen", "--seed", "1", "--n", "3", "--m", "5", "--k", "3",
-        "--kind", "degenerate", "--tol-rank", "0", "-o", str(tmp_path / "d.json"),
+        "--kind", "dependent", "--tol-rank", "1", "-o", str(tmp_path / "d.json"),
     )
     assert code == 2
-    assert "error:" in err
+    assert "error: could not draw a nondegenerate base signal" in err
     assert "Traceback" not in err
     assert not (tmp_path / "d.json").exists()
 
@@ -272,7 +272,7 @@ def test_overflowing_gram_exits_two(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert "not Hermitian" in err
+    assert "error: matrix overflowed: ||P - P^H||_F = nan" in err
 
 
 def test_overflowing_eigen_solve_exits_two(tmp_path, capsys):
@@ -285,7 +285,8 @@ def test_overflowing_eigen_solve_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert "not Hermitian" in err
+    assert "error: matrix overflowed: ||P - P^H||_F = nan" in err
+    assert "not Hermitian" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matsig as ms
+from matsig.core import from_rows, to_rows
 from helpers import random_family, random_matrix, random_signal
 from oracles import quadrature_inner_product, quadrature_norm_l2
 
@@ -314,3 +315,35 @@ def test_left_factor_pullout_hypothesis(fc, gc, ac):
     lhs = ms.inner_product(ms.left_mul(ac, f), g)
     rhs = ac @ ms.inner_product(f, g)
     assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
+
+
+def _per_member_family(coeffs, field):
+    return ms.SignalFamily(tuple(ms.MatrixSignal(c, field=field) for c in coeffs))
+
+
+@pytest.mark.parametrize("field", [None, "real", "complex"])
+def test_from_coeffs_matches_the_per_member_construction(field):
+    rng = np.random.default_rng(81)
+    stack = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+    stack.imag[1] = -0.0  # a real member of a complex stack, with negative zeros
+    pairs = rng.standard_normal((3, 5, 2, 2, 2))
+    inputs = {
+        "C-order stack": stack,
+        "real C-order stack": stack.real.copy(),
+        "from_rows view": from_rows(to_rows(stack), 2),
+        "decoded pairs": pairs.view(np.complex128)[..., 0],
+        "Fortran-order stack": np.asfortranarray(stack),
+    }
+    for name, coeffs in inputs.items():
+        if field == "real" and np.iscomplexobj(coeffs):
+            coeffs = coeffs.real
+        family = ms.SignalFamily.from_coeffs(coeffs, field=field)
+        reference = _per_member_family(coeffs, field)
+        for got, want in [(family.coeffs_array, reference.coeffs_array)] + [
+            (a.coeffs, b.coeffs) for a, b in zip(family, reference)
+        ]:
+            assert got.dtype == want.dtype, name
+            assert got.strides == want.strides, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert [sig.field for sig in family] == [sig.field for sig in reference], name

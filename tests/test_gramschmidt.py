@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import matsig as ms
 from matsig import core
@@ -343,3 +346,64 @@ def test_one_gram_per_basis_across_the_pipeline(monkeypatch):
         ms.expand(family[0], basis)
         ms.parseval_residual(family[1], basis)
     assert stacks == [(3, 5, 2, 2), (3, 5, 2, 2)]
+
+
+def _chained_family(seed, n, m, k, delta, field):
+    # f_1 = g_1 and f_k = f_{k-1} + delta g_k: each member nearly repeats the one before it
+    rng = np.random.default_rng(seed)
+    steps = rng.standard_normal((k, m, n, n))
+    if field == "complex":
+        steps = steps + 1j * rng.standard_normal((k, m, n, n))
+    steps[1:] *= delta
+    return ms.SignalFamily.from_coeffs(np.cumsum(steps, axis=0), field=field)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_orthogonalize_residuals_of_a_near_dependent_chain(field):
+    # f^_k = L_kk Q_k inherits Q's orthogonality; the subtractive form
+    # f_k - sum_l mu[l, k] f^_l cancels f_k against its predecessors and reaches 5.6e-12 here
+    family = _chained_family(3, 3, 24, 6, 1e-4, field)
+    result = ms.orthogonalize(family)
+    hat = result.ortho
+    np.testing.assert_array_equal(hat[0].coeffs, family[0].coeffs)
+    cross = max(
+        np.linalg.norm(ms.inner_product(hat[a], hat[b])) / (ms.norm_m(hat[a]) * ms.norm_m(hat[b]))
+        for a in range(family.k)
+        for b in range(a)
+    )
+    assert cross <= 1e-14
+    for k in range(family.k):
+        # Gram splitting: <f_k, f_k> = <f^_k, f^_k> + sum_{l<k} mu[l, k] <f^_l, f^_l> mu[l, k]^H
+        split = ms.inner_product(hat[k], hat[k]) + sum(
+            result.mu[l, k] @ ms.inner_product(hat[l], hat[l]) @ result.mu[l, k].conj().T
+            for l in range(k)
+        )
+        gram = ms.inner_product(family[k], family[k])
+        assert np.linalg.norm(gram - split) <= 1e-12 * np.linalg.norm(gram)
+
+
+@st.composite
+def _factored_matrices(draw):
+    # R^T of a family's row matrix: MN x KN with MN >= KN, square or tall
+    cols = draw(st.integers(1, 12))
+    rows = draw(st.integers(cols, 40))
+    parts = arrays(np.float64, (rows, cols), elements=st.floats(-1e4, 1e4, allow_subnormal=False))
+    if draw(st.booleans()):
+        return draw(parts) + 1j * draw(parts)
+    return draw(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transposed=_factored_matrices())
+def test_qr_of_the_transpose_is_the_conjugate_of_qr_of_the_adjoint(transposed):
+    # _factor and rows_linearly_dependent factor R^T in place of R^H = conj(R^T); their
+    # outputs keep their bits only because the factors are exact conjugates
+    adjoint = transposed.conj()
+    q, upper = np.linalg.qr(transposed)
+    q_adjoint, upper_adjoint = np.linalg.qr(adjoint)
+    np.testing.assert_array_equal(q, q_adjoint.conj())
+    np.testing.assert_array_equal(upper, upper_adjoint.conj())
+    np.testing.assert_array_equal(
+        np.linalg.svd(np.linalg.qr(transposed, mode="r"), compute_uv=False),
+        np.linalg.svd(np.linalg.qr(adjoint, mode="r"), compute_uv=False),
+    )

@@ -4,7 +4,9 @@
 the CLI's error handling as a traceback.  The ``matsig`` namespace re-exports
 only names its modules list in ``__all__``, so a removal cannot leave a stale
 export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
-turns an overflowed Gram into NotHermitianError instead of a numpy LinAlgError.
+turns an overflowed Gram into NonFiniteError instead of a numpy LinAlgError.
+No QR or SVD is handed a conjugate copy: QR commutes with conjugation, so the
+transpose serves, and the copy would cost a pass over the whole row matrix.
 The CLI takes every family verdict from ``analyze_family``, so it names none of
 the single-signal functions a second verdict path would call, and importing it
 loads no module that only sampled-file ingestion needs.
@@ -48,6 +50,27 @@ def test_eigen_solves_only_in_linalg():
             if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
                 offences.append(f"{path.name}:{node.lineno}")
     assert not offences, f"eigen-solves outside linalg.py: {offences}"
+
+
+def test_factorisations_take_no_conjugate_copy():
+    # QR commutes with conjugation, so factor R^T rather than pay for a copy R^H
+    offences = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr not in ("qr", "svd"):
+                continue
+            arguments = node.args + [keyword.value for keyword in node.keywords]
+            offences += [
+                f"{path.name}:{inner.lineno}"
+                for argument in arguments
+                for inner in ast.walk(argument)
+                if isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr in ("conj", "conjugate")
+            ]
+    assert not offences, f"conjugate copies passed to a QR or SVD: {offences}"
 
 
 def test_namespace_exports_match_module_all():

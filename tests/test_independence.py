@@ -298,13 +298,13 @@ def test_report_counts_near_dependence():
 
 
 def test_witness_search_rejects_overflowing_gram():
-    # R R^H of a family scaled by 1e160 overflows; the eigen-solve must see the Hermitian gate
+    # R R^H of a family scaled by 1e160 overflows; the Hermitian gate reports the overflow
     family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
     huge = ms.SignalFamily.from_coeffs(1e160 * family.coeffs_array, field="real")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ms.NotHermitianError):
+        with pytest.raises(ms.NonFiniteError, match="overflowed"):
             ms.dependent_witness_search(huge)
-        with pytest.raises(ms.NotHermitianError):
+        with pytest.raises(ms.NonFiniteError, match="overflowed"):
             ms.is_linearly_independent(huge)
 
 

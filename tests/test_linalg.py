@@ -133,8 +133,9 @@ def test_rank_tol_requires_hermitian():
 
 
 def test_matrix_holding_infinity_is_not_hermitian():
-    # ||P - P^H||_F is nan here (inf - inf); the Hermitian test must fail, not pass
-    with pytest.raises(ms.NotHermitianError):
+    # ||P - P^H||_F is nan here (inf - inf); the Hermitian test must fail, not pass,
+    # and name the overflow rather than an asymmetry
+    with pytest.raises(ms.NonFiniteError, match="overflowed"):
         ms.rank_tol(np.diag([np.inf, 1.0]))
 
 
