@@ -32,7 +32,6 @@ from .errors import (
     DegenerateStepError,
     DimensionMismatchError,
     EnumerationCapError,
-    IndefiniteError,
     InfeasibleParametersError,
     MatrixSignalError,
     NonFiniteError,
@@ -83,7 +82,6 @@ from .lattice import (
 )
 from .linalg import (
     herm_inv_sqrt,
-    herm_sqrt,
     null_space_basis,
     null_space_included,
     rank_tol,

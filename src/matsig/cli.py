@@ -32,13 +32,14 @@ _KIND_CLAIMS = {
 }
 
 
-def _nonnegative(cast):
-    """An argparse type: ``cast(text)``, rejected unless finite and nonnegative."""
+def _finite(cast, positive: bool = False):
+    """An argparse type: ``cast(text)``, rejected unless finite and nonnegative, or positive."""
+    kind = "positive" if positive else "nonnegative"
 
     def parse(text: str):
         value = cast(text)
-        if not 0 <= value < float("inf"):
-            raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+        if not (0 < value < float("inf") or (value == 0 and not positive)):
+            raise argparse.ArgumentTypeError(f"expected a finite {kind} number, got {text!r}")
         return value
 
     parse.__name__ = cast.__name__
@@ -46,8 +47,9 @@ def _nonnegative(cast):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=_nonnegative(float), default=None, help="relative rank tolerance")
-    parser.add_argument("--tol-ortho", type=_nonnegative(float), default=None, help="orthogonality tolerance")
+    # at 0 a zero eigenvalue is roundoff of either sign, so no verdict would mean anything
+    parser.add_argument("--tol-rank", type=_finite(float, positive=True), default=None, help="relative rank tolerance")
+    parser.add_argument("--tol-ortho", type=_finite(float), default=None, help="orthogonality tolerance")
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
@@ -100,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_near = lattice_sub.add_parser("nearest", help="brute-force closest lattice point")
     p_near.add_argument("file")
     p_near.add_argument("--target", required=True, help="signal file; its first signal is the target")
-    p_near.add_argument("--bound", type=_nonnegative(int), required=True)
-    p_near.add_argument("--cap", type=_nonnegative(int), default=DEFAULT_ENUMERATION_CAP)
+    p_near.add_argument("--bound", type=_finite(int), required=True)
+    p_near.add_argument("--cap", type=_finite(int), default=DEFAULT_ENUMERATION_CAP)
     _add_common(p_near)
     p_near.set_defaults(func=cmd_lattice_nearest)
 
@@ -268,7 +270,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflowed Gram is reported once, as the error below, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (MatrixSignalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -309,18 +309,37 @@ def inner_product(f: MatrixSignal, g: MatrixSignal) -> np.ndarray:
     return to_rows(f.coeffs) @ to_rows(g.coeffs).conj().T
 
 
+def _member_rows(family: SignalFamily) -> np.ndarray:
+    """The row matrix R of a family as a (K, N, MN) stack: block k holds f_k's N rows."""
+    return to_rows(family.coeffs_array).reshape(family.k, family.n, -1)
+
+
+def _self_grams(rows: np.ndarray) -> np.ndarray:
+    """The (K, N, N) stack of <f_k, f_k> = R_k R_k^H from a (K, N, MN) row stack."""
+    return rows @ rows.conj().swapaxes(-1, -2)
+
+
+def _norms_m(grams: np.ndarray) -> np.ndarray:
+    """||<f_k, f_k>||_F ** (1/2) of each self Gram in a (K, N, N) stack."""
+    return np.sqrt(np.linalg.norm(grams, axis=(-2, -1)))
+
+
+def _norms_l2(rows: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each member's rows in a (K, N, MN) row stack."""
+    return np.linalg.norm(rows, axis=(-2, -1))
+
+
 def norm_m(f: MatrixSignal) -> float:
     """Signal norm induced by the inner product: ||<f, f>||_F ** (1/2)."""
-    return float(np.sqrt(np.linalg.norm(inner_product(f, f))))
+    return float(_norms_m(_self_grams(to_rows(f.coeffs)[None]))[0])
 
 
 def norm_l2(f: MatrixSignal) -> float:
     """Entrywise energy norm (integral of ||f(t)||_F^2 dt) ** (1/2).
 
-    By orthonormality of the scalar basis this equals the flat 2-norm of the
-    coefficient stack.
+    By orthonormality of the scalar basis this equals the 2-norm of the coefficients.
     """
-    return float(np.linalg.norm(f.coeffs))
+    return float(_norms_l2(to_rows(f.coeffs)[None])[0])
 
 
 def scalar_inner_product(f: MatrixSignal, g: MatrixSignal) -> complex:

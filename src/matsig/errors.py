@@ -17,10 +17,6 @@ class NotHermitianError(MatrixSignalError, ValueError):
     """A matrix required to be Hermitian deviates beyond tolerance."""
 
 
-class IndefiniteError(MatrixSignalError, ValueError):
-    """A matrix required to be positive semidefinite has a clearly negative eigenvalue."""
-
-
 class SingularMatrixError(MatrixSignalError, ValueError):
     """A matrix that must be invertible is singular at the configured rank tolerance.
 

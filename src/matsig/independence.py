@@ -15,8 +15,9 @@ dependent_witness_search reconstructs an explicit violating choice for any
 rank-deficient family, so the equivalence is itself cross-validated by the
 test suite.
 
-analyze_family reads every family verdict off one block Gram R R^H, and
-each member's verdicts and norms from the single-signal functions above.
+analyze_family reads every family verdict off one block Gram R R^H, and every
+member verdict and norm off one pass over the (K, N, MN) stack of the members'
+row matrices; the single-signal functions are that pass at K = 1.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ from .core import (
     SignalFamily,
     ToleranceConfig,
     _freeze,
+    _member_rows,
+    _norms_l2,
+    _norms_m,
+    _self_grams,
     gram_orthonormality_residual,
     inner_product,
     linear_combination,
-    norm_l2,
     norm_m,
     to_rows,
 )
@@ -45,7 +49,6 @@ from .linalg import (
     nonzero_eigenvalues,
     null_space_basis,
     null_space_included,
-    rank_tol,
 )
 
 __all__ = [
@@ -84,27 +87,27 @@ class IndependenceReport:
     min_eigenvalue: float
 
 
+def _degenerate(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Rank deficiency of each self Gram in a stack, from its ascending eigenvalues w."""
+    return ~nonzero_eigenvalues(w, cfg).all(axis=-1)
+
+
+def _rows_dependent(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Linear dependence of each member's N rows in a (K, N, MN) row stack: the singular
+    values of R_k, read off the N x N factor T of R_k^T = Q T, against sqrt(rank_rel_tol) *
+    sigma_max, the eigenvalue threshold of R_k R_k^H."""
+    s = np.linalg.svd(np.linalg.qr(rows.swapaxes(-1, -2), mode="r"), compute_uv=False)
+    return np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[..., :1], axis=-1) < rows.shape[-2]
+
+
 def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when <f, f> is rank deficient at the configured tolerance."""
-    return rank_tol(inner_product(f, f), cfg) < f.n
+    return bool(_degenerate(_eigvalsh(_self_grams(to_rows(f.coeffs)[None]), cfg), cfg)[0])
 
 
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True when the N row functions of f are linearly dependent.
-
-    Decided by the singular values of the N x MN row-coefficient matrix R,
-    read off the N x N triangular factor T of the QR factorisation R^T = Q T,
-    which has the same singular values as R and is cheaper to decompose; the
-    threshold sqrt(rank_rel_tol) * sigma_max matches the eigenvalue
-    threshold used on <f, f> = R R^H, so this agrees with is_degenerate while
-    taking an independent computational route (QR and SVD of R instead of eigh
-    of the Gram).
-    """
-    s = np.linalg.svd(np.linalg.qr(to_rows(f.coeffs).T, mode="r"), compute_uv=False)
-    if s[0] == 0.0:
-        return True
-    rank = int(np.sum(s > np.sqrt(cfg.rank_rel_tol) * s[0]))
-    return rank < f.n
+    """True when the N row functions of f are linearly dependent: is_degenerate by QR and SVD of the rows."""
+    return bool(_rows_dependent(to_rows(f.coeffs)[None], cfg)[0])
 
 
 def block_gram(fam: SignalFamily) -> BlockGram:
@@ -130,7 +133,7 @@ def is_linearly_independent(
 
 @dataclass(frozen=True, eq=False)
 class FamilyAnalysis:
-    """Every verdict on a family, from one block Gram; see ``analyze_family``.
+    """Every verdict on a family, from one block Gram and one member pass; see ``analyze_family``.
 
     Per-member fields are read-only (K,) arrays.
     """
@@ -150,31 +153,32 @@ class FamilyAnalysis:
 
 
 def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FamilyAnalysis:
-    """Every family verdict, from one product R R^H and the single-signal functions per member.
+    """Every family verdict, from one product R R^H and one stacked pass over the members.
 
-    The per-member fields are ``is_degenerate``, ``rows_linearly_dependent``,
-    ``norm_m`` and ``norm_l2`` of each member; ``gram``, ``independence`` and
+    The member pass takes the K self Grams, one eigen-solve of them (for both
+    degeneracy and the PSD margin), one QR and SVD, and the norms, each stacked
+    over K; ``is_degenerate``, ``rows_linearly_dependent``, ``norm_m`` and
+    ``norm_l2`` are its K = 1 case.  ``gram``, ``independence`` and
     ``orthonormality_residual`` equal what ``block_gram``,
     ``is_linearly_independent`` and ``orthonormality_residual`` return.
     """
-    k = fam.k
     gram = block_gram(fam)
     blocks, assembled = _freeze(gram.blocks), _freeze(gram.assembled)
     deviation = float(np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max())
-    self_grams = blocks[np.arange(k), np.arange(k)]  # <f_k, f_k>
-    floors = cfg.psd_tol * np.maximum(1.0, np.linalg.norm(self_grams, axis=(1, 2)))
-    members = [(is_degenerate(sig, cfg), rows_linearly_dependent(sig, cfg), norm_m(sig), norm_l2(sig)) for sig in fam]
-    degenerate, rows_dependent, norms_m, norms_l2 = (_freeze(np.array(column)) for column in zip(*members))
+    rows = _member_rows(fam)
+    self_grams = _self_grams(rows)
+    w = _eigvalsh(self_grams, cfg)
+    norms_m, norms_l2 = _freeze(_norms_m(self_grams)), _freeze(_norms_l2(rows))
     lower, upper = fam.n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), fam.n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
-    residual = gram_orthonormality_residual(assembled, k)
+    residual = gram_orthonormality_residual(assembled, fam.k)
     return FamilyAnalysis(
         gram=gram,
-        independence=_independence_report(assembled, k * fam.n, cfg),
+        independence=_independence_report(assembled, fam.k * fam.n, cfg),
         hermitian_deviation=deviation,
         hermitian=deviation <= cfg.hermitian_tol * max(1.0, float(np.linalg.norm(assembled))),
-        psd_margin=float(np.min(_eigvalsh(self_grams, cfg)[:, 0] + floors)),
-        degenerate=degenerate,
-        rows_dependent=rows_dependent,
+        psd_margin=float(np.min(w[:, 0] + cfg.psd_tol * np.maximum(1.0, norms_m**2))),
+        degenerate=_freeze(_degenerate(w, cfg)),
+        rows_dependent=_freeze(_rows_dependent(rows, cfg)),
         norm_m=norms_m,
         norm_l2=norms_l2,
         norms_equivalent=not np.any((norms_m < lower) | (norms_m > upper)),
@@ -201,8 +205,8 @@ def verify_independence_witness(
     # "f = 0" needs an external scale: the combination of O(1) inputs that
     # cancels to roundoff must count as zero even though its own largest
     # eigenvalue is positive.
-    coeff_scale = max(float(np.linalg.norm(arr[k])) for k in range(fam.k))
-    input_scale = max(norm_m(sig) for sig in fam)
+    coeff_scale = float(np.linalg.norm(arr, axis=(1, 2)).max())
+    input_scale = float(_norms_m(_self_grams(_member_rows(fam))).max())
     zero_scale = max(1.0, coeff_scale * input_scale)
     if norm_m(f) ** 2 <= cfg.rank_rel_tol * zero_scale**2:
         return coeff_scale <= cfg.rank_rel_tol * max(1.0, coeff_scale)
@@ -234,8 +238,6 @@ def dependent_witness_search(
         return out
     if nonzero_eigenvalues(w, cfg).all():
         return None
-    null_vec = v[:, 0]
-    segments = null_vec.reshape(k, n)
-    largest = int(np.argmax(np.linalg.norm(segments, axis=1)))
-    u = segments[largest] / np.linalg.norm(segments[largest])
-    return np.stack([np.outer(u, segments[j].conj()) for j in range(k)])
+    segments = v[:, 0].reshape(k, n)
+    u = segments[np.argmax(np.linalg.norm(segments, axis=1))]
+    return (u / np.linalg.norm(u))[:, None] * segments.conj()[:, None, :]

@@ -23,6 +23,8 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    _member_rows,
+    _self_grams,
     check_same_shape,
     linear_combination,
     to_rows,
@@ -34,7 +36,7 @@ from .errors import (
     NotRealError,
 )
 from .gramschmidt import GramSchmidtResult, orthogonalize
-from .independence import block_gram, is_linearly_independent
+from .independence import is_linearly_independent
 
 __all__ = [
     "LatticePoint",
@@ -54,12 +56,6 @@ class LatticePoint:
 
     coeffs: np.ndarray
     signal: MatrixSignal
-
-
-def _self_grams(family: SignalFamily) -> np.ndarray:
-    """The (K, N, N) stack of <f_k, f_k>: the diagonal of the block Gram."""
-    idx = np.arange(family.k)
-    return block_gram(family).blocks[idx, idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +143,9 @@ class MatrixLattice:
         mu-conjugated earlier residual Grams, sum_{l<k} mu[l,k] <f^_l, f^_l> mu[l,k]^H.
         """
         mu = self.gs.mu  # mu[l, k] is zero for l >= k
-        hat = _self_grams(self.gs.ortho)
+        hat = _self_grams(_member_rows(self.gs.ortho))
         rhs = hat + np.einsum("lkij,ljp,lkqp->kiq", mu, hat, mu.conj())
-        return float(np.linalg.norm(_self_grams(self.basis) - rhs, axis=(1, 2)).max())
+        return float(np.linalg.norm(_self_grams(_member_rows(self.basis)) - rhs, axis=(1, 2)).max())
 
     def norm_inequality_holds(self, slack: float = 1e-9) -> bool:
         """Check the norm bounds implied by the Gram-splitting identity.
@@ -158,7 +154,7 @@ class MatrixLattice:
         and ||f_k|| >= ||f^_k||, both with relative slack.
         """
         hat_sq = self.gs.step_norms**2
-        f_sq = np.linalg.norm(_self_grams(self.basis), axis=(1, 2))
+        f_sq = np.linalg.norm(_self_grams(_member_rows(self.basis)), axis=(1, 2))
         bound = hat_sq + np.einsum("lk,l->k", np.linalg.norm(self.gs.mu, axis=(2, 3)) ** 2, hat_sq)
         margin = slack * np.maximum(1.0, f_sq)
         return bool(np.all(f_sq <= bound + margin) and np.all(f_sq >= hat_sq - margin))

@@ -1,15 +1,14 @@
-"""Hermitian-matrix utilities: principal square roots, tolerant rank, null spaces.
+"""Hermitian-matrix utilities: inverse square roots, tolerant rank, null spaces.
 
 Everything here is a thin, carefully-toleranced layer over numpy's Hermitian
 eigendecomposition, and it holds the package's one rank rule
 (``nonzero_eigenvalues``): an eigenvalue counts as nonzero exactly when it
 exceeds rank_rel_tol * lambda_max, and none does when lambda_max <= 0.  Rank,
 null spaces, invertibility, degeneracy and linear independence all take their
-verdict from that mask.  For the square root, eigenvalues in
-[-psd_tol * ||P||_F, 0) are treated as roundoff from Gram assembly and clamped
-to zero; anything more negative is rejected as indefinite.  Every eigen-solve in
-the package goes through ``_eigh`` or ``_eigvalsh``, whose Hermitian gate turns
-an overflowed Gram (a NaN deviation) into NonFiniteError, not a numpy error.
+verdict from that mask, which ranks each matrix of a stack along the last axis
+of its eigenvalues.  Every eigen-solve in the package goes through ``_eigh`` or
+``_eigvalsh``, whose Hermitian gate turns an overflowed Gram (a NaN deviation)
+into NonFiniteError, not a numpy error.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ import numpy as np
 from .core import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (
     DimensionMismatchError,
-    IndefiniteError,
     NonFiniteError,
     NotHermitianError,
     SingularMatrixError,
 )
 
 __all__ = [
-    "herm_sqrt",
     "herm_inv_sqrt",
     "rank_tol",
     "null_space_basis",
@@ -74,24 +71,11 @@ def _eigvalsh(p, cfg: ToleranceConfig) -> np.ndarray:
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """The rank rule: mask of ascending eigenvalues w above rank_rel_tol * lambda_max.
 
-    All False when lambda_max <= 0, so the zero matrix has rank 0.
+    Applied along the last axis, so an (..., n) stack is ranked matrix by matrix.
+    All False where lambda_max <= 0, so the zero matrix has rank 0.
     """
-    if w[-1] <= 0:
-        return np.zeros(w.shape, dtype=bool)
-    return w > cfg.rank_rel_tol * w[-1]
-
-
-def herm_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """The principal PSD square root S of a Hermitian PSD matrix, S @ S = P."""
-    w, v = _eigh(p, cfg)
-    floor = -cfg.psd_tol * np.linalg.norm(np.asarray(p))
-    if w[0] < floor:
-        raise IndefiniteError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} below {floor:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    top = w[..., -1:]
+    return (top > 0) & (w > cfg.rank_rel_tol * top)
 
 
 def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

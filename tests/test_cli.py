@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes and machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,7 @@ def test_analyze_text_output(tmp_path, capsys):
         ("analyze", "{basis}", "--tol-rank", "nan"),
         ("verify", "{basis}", "--tol-ortho", "-0.001"),
         ("verify", "{basis}", "--tol-ortho", "inf"),
+        ("analyze", "{basis}", "--tol-rank", "0"),
     ],
 )
 def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):
@@ -287,6 +292,22 @@ def test_overflowing_eigen_solve_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
     assert "error: matrix overflowed: ||P - P^H||_F = nan" in err
     assert "not Hermitian" not in err
+
+
+def test_overflowing_file_prints_one_error_line(tmp_path):
+    # a child process, so that numpy's RuntimeWarnings reach stderr under the default filters
+    family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
+    path = tmp_path / "scaled.json"
+    ms.save_family(path, ms.SignalFamily.from_coeffs(1e160 * family.coeffs_array, field="real"))
+    src = str(Path(ms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "matsig", "analyze", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: matrix overflowed: ||P - P^H||_F = nan\n"
 
 
 @pytest.mark.parametrize(

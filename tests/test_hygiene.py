@@ -9,7 +9,8 @@ No QR or SVD is handed a conjugate copy: QR commutes with conjugation, so the
 transpose serves, and the copy would cost a pass over the whole row matrix.
 The CLI takes every family verdict from ``analyze_family``, so it names none of
 the single-signal functions a second verdict path would call, and importing it
-loads no module that only sampled-file ingestion needs.
+loads no module that only sampled-file ingestion needs.  ``analyze_family``
+itself has no loop over members: its member verdicts come from one stacked pass.
 """
 
 import ast
@@ -113,6 +114,15 @@ def test_cli_takes_verdicts_from_one_analysis():
             names = [node.name, node.asname]
         offences += [f"cli.py:{getattr(node, 'lineno', '?')} {name}" for name in names if name in VERDICT_FUNCTIONS]
     assert not offences, f"cli.py computes verdicts outside analyze_family: {offences}"
+
+
+def test_analyze_family_has_no_member_loop():
+    independence = next(path for path in SOURCES if path.name == "independence.py")
+    tree = ast.parse(independence.read_text(), filename=str(independence))
+    analyze = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "analyze_family")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    offences = [f"independence.py:{node.lineno}" for node in ast.walk(analyze) if isinstance(node, loops)]
+    assert not offences, f"loops in analyze_family: {offences}"
 
 
 def test_cli_import_skips_numpy_polynomial():
