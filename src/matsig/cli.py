@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import ToleranceConfig, orthonormality_residual, to_rows
+from .core import ToleranceConfig, _norms_m, _self_grams, orthonormality_residual, to_rows
 from .errors import MatrixSignalError
 from .fileio import encode_array, family_to_doc, load_family, save_family, write_json
 from .generate import FAMILY_KINDS, gen_random_family
@@ -46,20 +46,24 @@ def _finite(cast, positive: bool = False):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_FLAGS = {
     # at 0 a zero eigenvalue is roundoff of either sign, so no verdict would mean anything
-    parser.add_argument("--tol-rank", type=_finite(float, positive=True), default=None, help="relative rank tolerance")
-    parser.add_argument("--tol-ortho", type=_finite(float), default=None, help="orthogonality tolerance")
-    parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    "--tol-rank": {"type": _finite(float, positive=True), "help": "relative rank tolerance"},
+    "--tol-ortho": {"type": _finite(float), "help": "orthogonality tolerance"},
+    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the shared flags that a subcommand reads."""
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _tolerances(args) -> ToleranceConfig:
-    kwargs = {}
-    if args.tol_rank is not None:
-        kwargs["rank_rel_tol"] = args.tol_rank
-    if args.tol_ortho is not None:
-        kwargs["ortho_tol"] = args.tol_ortho
-    return ToleranceConfig(**kwargs)
+    """The default tolerances, overridden by the tolerance flags given to the subcommand."""
+    given = {"rank_rel_tol": args.tol_rank, "ortho_tol": getattr(args, "tol_ortho", None)}
+    return ToleranceConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,18 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", choices=FAMILY_KINDS, required=True)
     p_gen.add_argument("--field", choices=("real", "complex"), default="complex")
     p_gen.add_argument("-o", "--output", required=True)
-    _add_common(p_gen)
+    _add_flags(p_gen, "--tol-rank", "--tol-ortho")
     p_gen.set_defaults(func=cmd_gen)
 
     p_analyze = sub.add_parser("analyze", help="degeneracy, Gram blocks and independence report")
     p_analyze.add_argument("file")
-    _add_common(p_analyze)
+    _add_flags(p_analyze, "--tol-rank", "--tol-ortho", "--format")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_ortho = sub.add_parser("orthonormalize", help="Gram-Schmidt orthonormalization of a family file")
     p_ortho.add_argument("file")
     p_ortho.add_argument("-o", "--output", required=True)
-    _add_common(p_ortho)
+    _add_flags(p_ortho, "--tol-rank", "--tol-ortho")
     p_ortho.set_defaults(func=cmd_orthonormalize)
 
     p_lattice = sub.add_parser("lattice", help="lattice determinant and brute-force search")
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = lattice_sub.add_parser("det", help="lattice determinant of a real basis file")
     p_det.add_argument("file")
-    _add_common(p_det)
+    _add_flags(p_det, "--tol-rank", "--format")
     p_det.set_defaults(func=cmd_lattice_det)
 
     p_near = lattice_sub.add_parser("nearest", help="brute-force closest lattice point")
@@ -104,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_near.add_argument("--target", required=True, help="signal file; its first signal is the target")
     p_near.add_argument("--bound", type=_finite(int), required=True)
     p_near.add_argument("--cap", type=_finite(int), default=DEFAULT_ENUMERATION_CAP)
-    _add_common(p_near)
+    _add_flags(p_near, "--tol-rank", "--format")
     p_near.set_defaults(func=cmd_lattice_nearest)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite and any recorded claims")
     p_verify.add_argument("file")
-    _add_common(p_verify)
+    _add_flags(p_verify, "--tol-rank", "--tol-ortho", "--format")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -182,8 +186,7 @@ def cmd_orthonormalize(args) -> int:
     # max_k norm_m(e_k), e_k = f_k - sum_l <f_k, Phi_l> Phi_l; all rows at once: R - (R R_Phi^H) R_Phi
     rows, basis_rows = to_rows(family.coeffs_array), to_rows(basis.coeffs_array)
     errors = (rows - (rows @ basis_rows.conj().T) @ basis_rows).reshape(family.k, family.n, -1)
-    error_grams = errors @ errors.conj().transpose(0, 2, 1)
-    span_residual = float(np.sqrt(max(np.linalg.norm(gram) for gram in error_grams)))
+    span_residual = float(_norms_m(_self_grams(errors)).max())
 
     doc = family_to_doc(
         basis,

@@ -58,30 +58,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances shared across the library.
+    """The two numerical tolerances a caller may set.
 
     rank_rel_tol  -- eigen/singular values below this fraction of the largest
                      one count as zero when ranking Gram matrices
     ortho_tol     -- Frobenius residual allowed by the orthogonality and
                      orthonormal-set predicates
-    hermitian_tol -- relative deviation allowed between P and P^H
-    psd_tol       -- how negative (relative to ||P||_F) an eigenvalue may be
-                     before a Gram matrix is rejected as indefinite
+
+    The Hermitian gate and the PSD margin use the fixed HERMITIAN_TOL and PSD_TOL.
     """
 
     rank_rel_tol: float = 1e-10
     ortho_tol: float = 1e-10
-    hermitian_tol: float = 1e-12
-    psd_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "ortho_tol", "hermitian_tol", "psd_tol"):
+        for name in ("rank_rel_tol", "ortho_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+HERMITIAN_TOL = 1e-12  # relative deviation allowed between P and P^H before an eigen-solve
+PSD_TOL = 1e-12  # how negative, relative to ||P||_F, a self Gram's eigenvalue may be
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -107,10 +106,8 @@ class MatrixSignal:
         if arr.ndim != 3:
             raise DimensionMismatchError(f"coeffs must have shape (M, N, N), got {arr.shape}")
         _check_member_shape(arr.shape)
-        field = self.field
-        if field is None:
-            field = "complex" if (np.iscomplexobj(arr) and np.any(arr.imag)) else "real"
-        object.__setattr__(self, "coeffs", _freeze(_typed_copy(arr, field)))
+        coeffs, field = _typed_copy(arr, self.field)
+        object.__setattr__(self, "coeffs", _freeze(coeffs))
         object.__setattr__(self, "field", field)
 
     @property
@@ -142,8 +139,13 @@ def _check_member_shape(shape: tuple[int, ...]) -> None:
         raise DimensionMismatchError("M and N must both be at least 1")
 
 
-def _typed_copy(arr: np.ndarray, field: str) -> np.ndarray:
-    """A finite float64 ("real") or complex128 ("complex") copy of ``arr`` in its memory order."""
+def _typed_copy(arr: np.ndarray, field: str | None) -> tuple[np.ndarray, str]:
+    """A finite float64 ("real") or complex128 ("complex") copy of ``arr`` in its memory order, and the field.
+
+    ``field=None`` infers it: "complex" exactly when some imaginary part is nonzero.
+    """
+    if field is None:
+        field = "complex" if (np.iscomplexobj(arr) and np.any(arr.imag)) else "real"
     if field == "real":
         if np.iscomplexobj(arr):
             if np.any(arr.imag):
@@ -156,7 +158,7 @@ def _typed_copy(arr: np.ndarray, field: str) -> np.ndarray:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("coefficients hold NaN or Infinity")
-    return arr
+    return arr, field
 
 
 def zero_signal(n: int, m: int, field: str = "real") -> MatrixSignal:
@@ -175,10 +177,11 @@ def _member(coeffs: np.ndarray, field: str) -> MatrixSignal:
 
 @dataclass(frozen=True, eq=False)
 class SignalFamily:
-    """An ordered set of K signals sharing the same N and M.
+    """An ordered set of K signals sharing the same N, M and field.
 
     The coefficients are stored once, as one read-only (K, M, N, N) stack; the
-    members are views into it.
+    members are views into it and carry its field.  Signals of both fields make
+    a complex family; a real signal enters its stack as x + 0j.
     """
 
     signals: tuple[MatrixSignal, ...]
@@ -195,24 +198,20 @@ class SignalFamily:
                 raise DimensionMismatchError(
                     f"signals[{idx}] has (n, m)=({sig.n}, {sig.m}), expected ({n}, {m})"
                 )
-        self._adopt(np.stack([sig.coeffs for sig in signals]), [sig.field for sig in signals])
+        self._adopt(np.stack([sig.coeffs for sig in signals]))
 
-    def _adopt(self, stack: np.ndarray, fields) -> None:
-        """Store ``stack`` read-only, with member k a view of stack[k] tagged fields[k]."""
-        stack = _freeze(stack)
-        members = tuple(
-            _member(stack[idx].real if field == "real" else stack[idx], field)
-            for idx, field in enumerate(fields)
-        )
-        object.__setattr__(self, "signals", members)
-        object.__setattr__(self, "_stack", stack)
+    def _adopt(self, stack: np.ndarray) -> None:
+        """Store ``stack`` read-only, with member k the view stack[k] tagged with the stack's field."""
+        object.__setattr__(self, "_stack", _freeze(stack))
+        object.__setattr__(self, "signals", tuple(_member(coeffs, self.field) for coeffs in stack))
 
     @classmethod
     def from_coeffs(cls, coeffs, field: str | None = None) -> "SignalFamily":
         """Build a family from an array of shape (K, M, N, N), with one copy of it.
 
-        The checks, the exceptions and the stored bytes and strides are those of
-        ``SignalFamily(tuple(MatrixSignal(c, field) for c in coeffs))``.
+        ``field=None`` infers one field for the whole stack, by ``MatrixSignal``'s
+        rule.  The checks, the exceptions and the stored bytes and strides are
+        those of ``SignalFamily(tuple(MatrixSignal(c, family.field) for c in coeffs))``.
         """
         arr = np.asarray(coeffs)
         if arr.ndim != 4:
@@ -222,19 +221,11 @@ class SignalFamily:
         if arr.shape[0] < 1:
             raise DimensionMismatchError("a family needs at least one signal")
         _check_member_shape(arr.shape[1:])
-        if field is None:
-            tags = np.any(arr.imag, axis=(1, 2, 3)) if np.iscomplexobj(arr) else np.zeros(len(arr), bool)
-            fields = ["complex" if tag else "real" for tag in tags]
-            stack = _typed_copy(arr, "complex" if tags.any() else "real")
-            if tags.any():
-                stack.imag[~tags] = 0.0  # a real member enters a complex stack as x + 0j, never x - 0j
-        else:
-            fields = [field] * arr.shape[0]
-            stack = _typed_copy(arr, field)
+        stack, _ = _typed_copy(arr, field)
         if stack.strides[0] * arr.shape[0] != stack.nbytes:
             stack = np.stack(list(stack))  # K is not the outermost axis, as in a Fortran-order input
         family = object.__new__(cls)
-        family._adopt(stack, fields)
+        family._adopt(stack)
         return family
 
     @property

@@ -39,6 +39,7 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    _self_grams,
     check_same_shape,
     from_rows,
     inner_product,
@@ -98,7 +99,7 @@ def _factor(fam: SignalFamily, cfg: ToleranceConfig):
     diagonal = lower[np.arange(steps), :, np.arange(steps), :]
     u, s, vh = np.linalg.svd(diagonal)
     block_rows = lower[:steps].reshape(steps, n, steps * n)
-    anchors = np.linalg.norm(block_rows @ block_rows.conj().transpose(0, 2, 1), axis=(1, 2))
+    anchors = np.linalg.norm(_self_grams(block_rows), axis=(-2, -1))
     passed = s[:, -1] ** 2 > cfg.rank_rel_tol * np.maximum(s[:, 0] ** 2, anchors)
     if not passed.all():
         raise DegenerateStepError(int(np.argmin(passed)))

@@ -29,6 +29,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    HERMITIAN_TOL,
+    PSD_TOL,
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
@@ -102,7 +104,7 @@ def _rows_dependent(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 
 def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when <f, f> is rank deficient at the configured tolerance."""
-    return bool(_degenerate(_eigvalsh(_self_grams(to_rows(f.coeffs)[None]), cfg), cfg)[0])
+    return bool(_degenerate(_eigvalsh(_self_grams(to_rows(f.coeffs)[None])), cfg)[0])
 
 
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -119,7 +121,7 @@ def block_gram(fam: SignalFamily) -> BlockGram:
 
 def _independence_report(assembled: np.ndarray, required: int, cfg: ToleranceConfig) -> IndependenceReport:
     """The rank rule on an assembled block Gram that full rank makes ``required``."""
-    w = _eigvalsh(assembled, cfg)
+    w = _eigvalsh(assembled)
     rank = int(nonzero_eigenvalues(w, cfg).sum())
     return IndependenceReport(rank == required, rank, required, float(w[0]))
 
@@ -141,8 +143,8 @@ class FamilyAnalysis:
     gram: BlockGram
     independence: IndependenceReport
     hermitian_deviation: float  # max over k, l of ||<f_k, f_l> - <f_l, f_k>^H||_F
-    hermitian: bool  # hermitian_deviation <= hermitian_tol * max(1, ||G||_F)
-    psd_margin: float  # min over k of lambda_min(<f_k, f_k>) + psd_tol * max(1, ||<f_k, f_k>||_F)
+    hermitian: bool  # hermitian_deviation <= HERMITIAN_TOL * max(1, ||G||_F)
+    psd_margin: float  # min over k of lambda_min(<f_k, f_k>) + PSD_TOL * max(1, ||<f_k, f_k>||_F)
     degenerate: np.ndarray  # is_degenerate of each member
     rows_dependent: np.ndarray  # rows_linearly_dependent of each member
     norm_m: np.ndarray
@@ -167,7 +169,7 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     deviation = float(np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max())
     rows = _member_rows(fam)
     self_grams = _self_grams(rows)
-    w = _eigvalsh(self_grams, cfg)
+    w = _eigvalsh(self_grams)
     norms_m, norms_l2 = _freeze(_norms_m(self_grams)), _freeze(_norms_l2(rows))
     lower, upper = fam.n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), fam.n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
     residual = gram_orthonormality_residual(assembled, fam.k)
@@ -175,8 +177,8 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
         gram=gram,
         independence=_independence_report(assembled, fam.k * fam.n, cfg),
         hermitian_deviation=deviation,
-        hermitian=deviation <= cfg.hermitian_tol * max(1.0, float(np.linalg.norm(assembled))),
-        psd_margin=float(np.min(w[:, 0] + cfg.psd_tol * np.maximum(1.0, norms_m**2))),
+        hermitian=deviation <= HERMITIAN_TOL * max(1.0, float(np.linalg.norm(assembled))),
+        psd_margin=float(np.min(w[:, 0] + PSD_TOL * np.maximum(1.0, norms_m**2))),
         degenerate=_freeze(_degenerate(w, cfg)),
         rows_dependent=_freeze(_rows_dependent(rows, cfg)),
         norm_m=norms_m,
@@ -230,7 +232,7 @@ def dependent_witness_search(
     """
     k, n = fam.k, fam.n
     assembled = block_gram(fam).assembled
-    w, v = _eigh(assembled, cfg)
+    w, v = _eigh(assembled)
     if w[-1] <= 0:
         # every signal is zero: any single nonzero coefficient violates
         out = np.zeros((k, n, n), dtype=complex)

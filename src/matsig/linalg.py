@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, ToleranceConfig
+from .core import DEFAULT_TOLERANCES, HERMITIAN_TOL, ToleranceConfig
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -38,16 +38,16 @@ def _as_square(p) -> np.ndarray:
     return arr
 
 
-def _hermitian_part(arr: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+def _hermitian_part(arr: np.ndarray) -> np.ndarray:
     """(P + P^H) / 2 of each matrix in an (..., n, n) stack, after the Hermitian gate.
 
-    Raises NotHermitianError unless ||P - P^H||_F <= hermitian_tol * max(1, ||P||_F)
+    Raises NotHermitianError unless ||P - P^H||_F <= HERMITIAN_TOL * max(1, ||P||_F)
     for every matrix: every eigen-solve in the package goes through this test.
     A non-finite deviation (inf - inf in an overflowed Gram) raises NonFiniteError.
     """
     adjoint = arr.conj().swapaxes(-1, -2)
     deviation = np.linalg.norm(arr - adjoint, axis=(-2, -1))
-    bound = cfg.hermitian_tol * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    bound = HERMITIAN_TOL * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
     # written so that a NaN deviation fails the test
     if not np.all(deviation <= bound):
         if not np.isfinite(deviation).all():
@@ -58,14 +58,14 @@ def _hermitian_part(arr: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     return (arr + adjoint) / 2.0
 
 
-def _eigh(p, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(p) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and unitary eigenvectors of a square Hermitian matrix."""
-    return np.linalg.eigh(_hermitian_part(_as_square(p), cfg))
+    return np.linalg.eigh(_hermitian_part(_as_square(p)))
 
 
-def _eigvalsh(p, cfg: ToleranceConfig) -> np.ndarray:
+def _eigvalsh(p) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each in an (..., n, n) stack."""
-    return np.linalg.eigvalsh(_hermitian_part(np.asarray(p), cfg))
+    return np.linalg.eigvalsh(_hermitian_part(np.asarray(p)))
 
 
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -85,7 +85,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     rank rule; for Gram matrices that means a degenerate signal reached an
     orthonormalization step.
     """
-    w, v = _eigh(p, cfg)
+    w, v = _eigh(p)
     if not nonzero_eigenvalues(w, cfg).all():
         raise SingularMatrixError(
             f"matrix is singular at rank tolerance: eigenvalue range "
@@ -97,7 +97,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def rank_tol(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
-    return int(nonzero_eigenvalues(_eigvalsh(_as_square(p), cfg), cfg).sum())
+    return int(nonzero_eigenvalues(_eigvalsh(_as_square(p)), cfg).sum())
 
 
 def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -105,7 +105,7 @@ def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray
 
     Complementary to rank_tol: the returned column count is N - rank_tol(P).
     """
-    w, v = _eigh(p, cfg)
+    w, v = _eigh(p)
     return v[:, ~nonzero_eigenvalues(w, cfg)]
 
 

@@ -193,6 +193,11 @@ def test_analyze_text_output(tmp_path, capsys):
         ("verify", "{basis}", "--tol-ortho", "-0.001"),
         ("verify", "{basis}", "--tol-ortho", "inf"),
         ("analyze", "{basis}", "--tol-rank", "0"),
+        ("gen", "--seed", "1", "--n", "1", "--m", "3", "--k", "2", "--kind", "independent",
+         "-o", "{basis}.out", "--format", "json"),
+        ("orthonormalize", "{basis}", "-o", "{basis}.out", "--format", "json"),
+        ("lattice", "det", "{basis}", "--tol-ortho", "1e-9"),
+        ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "1", "--tol-ortho", "1e-9"),
     ],
 )
 def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):

@@ -275,7 +275,9 @@ def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ms.ToleranceConfig(ortho_tol=float("nan"))
     with pytest.raises(ValueError):
-        ms.ToleranceConfig(psd_tol=float("inf"))
+        ms.ToleranceConfig(ortho_tol=float("inf"))
+    with pytest.raises(TypeError):
+        ms.ToleranceConfig(psd_tol=1e-12)
 
 
 def test_linear_combination_shape_check():
@@ -338,7 +340,7 @@ def test_from_coeffs_matches_the_per_member_construction(field):
         if field == "real" and np.iscomplexobj(coeffs):
             coeffs = coeffs.real
         family = ms.SignalFamily.from_coeffs(coeffs, field=field)
-        reference = _per_member_family(coeffs, field)
+        reference = _per_member_family(coeffs, family.field)
         for got, want in [(family.coeffs_array, reference.coeffs_array)] + [
             (a.coeffs, b.coeffs) for a, b in zip(family, reference)
         ]:
@@ -346,4 +348,4 @@ def test_from_coeffs_matches_the_per_member_construction(field):
             assert got.strides == want.strides, name
             assert got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable, name
-        assert [sig.field for sig in family] == [sig.field for sig in reference], name
+        assert [sig.field for sig in family] == [family.field] * family.k, name

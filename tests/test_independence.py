@@ -373,3 +373,16 @@ def test_analysis_matches_single_signal_functions(family, tol):
     assert analysis.hermitian and analysis.psd_margin >= 0.0 and analysis.norms_equivalent
     for array in (analysis.gram.blocks, analysis.degenerate, analysis.rows_dependent, analysis.norm_m):
         assert not array.flags.writeable
+
+
+def test_a_family_of_both_fields_is_one_complex_field():
+    rng = np.random.default_rng(12)
+    n, m = 1, 15
+    real = ms.MatrixSignal(10.0 ** rng.uniform(-3, 3) * rng.standard_normal((m, n, n)))
+    cplx = ms.MatrixSignal(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+    stack = np.stack([real.coeffs, cplx.coeffs])
+    for fam in (ms.SignalFamily((real, cplx)), ms.SignalFamily.from_coeffs(stack, field=None)):
+        assert fam.field == "complex"
+        assert [f.field for f in fam] == [fam.field] * fam.k
+        # the real member's self Gram runs in the family's complex arithmetic on both paths
+        assert _bits(ms.analyze_family(fam).norm_m) == _bits([ms.norm_m(f) for f in fam])
