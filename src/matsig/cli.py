@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .core import ToleranceConfig, _norms_m, _self_grams, orthonormality_residual, to_rows
-from .errors import MatrixSignalError
+from .errors import MatrixSignalError, SchemaError
 from .fileio import encode_array, family_to_doc, load_family, save_family, write_json
 from .generate import FAMILY_KINDS, gen_random_family
 from .gramschmidt import orthonormalize
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random family")
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=_finite(int), required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--k", type=int, required=True)
@@ -253,7 +253,10 @@ def cmd_verify(args) -> int:
         "dependent": (not report.independent, rank),
         "contains_degenerate": (any(degenerate), f"degenerate members {[i for i, d in enumerate(degenerate) if d]}"),
     }
-    for claim in metadata.get("claims", []):
+    claims = metadata.get("claims", [])
+    if not (isinstance(claims, list) and all(isinstance(claim, str) for claim in claims)):
+        raise SchemaError("metadata.claims", "expected a list of strings")
+    for claim in claims:
         if claim not in claim_checks:
             print(f"ignoring unknown claim {claim!r}", file=sys.stderr)
             continue

@@ -20,8 +20,9 @@ class NotHermitianError(MatrixSignalError, ValueError):
 class SingularMatrixError(MatrixSignalError, ValueError):
     """A matrix that must be invertible is singular at the configured rank tolerance.
 
-    Raised by the inverse square root when a degenerate signal reaches an
-    orthonormalization step.
+    Raised by ``herm_inv_sqrt``; for a self-Gram <f, f> it means f is
+    degenerate.  Orthonormalization does not invert Grams: a degenerate step
+    there raises DegenerateStepError.
     """
 
 
@@ -32,27 +33,23 @@ class DegenerateStepError(MatrixSignalError, ValueError):
     offending step index is stored in ``step``.
     """
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        if message is None:
-            message = (
-                f"Gram-Schmidt residual at step {step} is degenerate; "
-                "the input family is not linearly independent"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"Gram-Schmidt residual at step {step} is degenerate; "
+            "the input family is not linearly independent"
+        )
 
 
 class NotIndependentError(MatrixSignalError, ValueError):
     """A linearly independent family was required; the attached report says why not."""
 
-    def __init__(self, report, message=None):
+    def __init__(self, report):
         self.report = report
-        if message is None:
-            message = (
-                f"family is not linearly independent: block Gram rank "
-                f"{report.block_gram_rank} < {report.required_rank}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"family is not linearly independent: block Gram rank "
+            f"{report.block_gram_rank} < {report.required_rank}"
+        )
 
 
 class NotRealError(MatrixSignalError, ValueError):

@@ -20,11 +20,12 @@ overflowed meets: the constructors refuse non-finite signals and samples.
 
 ``write_json`` writes exactly the bytes that the standard library's json
 encoder writes with ``indent=1`` and ``allow_nan=False``, plus a newline, so
-the file format is unchanged.  It writes a file's top-level object and its
-lists one element at a time, and formats each rectangular block of floats
-below them with one ``float.__repr__`` pass and one ``str.join`` per axis.
-(With an indent the standard encoder runs in pure Python, one generator step
-per float.)
+the file format is unchanged.  It writes only two things itself: the brackets,
+separators and indents of the top-level object and of the containers directly
+under it, one element at a time, and each rectangular block of floats below
+them, with one ``float.__repr__`` pass and one ``str.join`` per axis.  (With
+an indent the standard encoder runs in pure Python, one generator step per
+float.)  json's encoder writes every other value, re-indented to its level.
 
 Unknown top-level keys are ignored on load, so report-bearing files written by
 the CLI remain valid signal files.
@@ -110,45 +111,41 @@ def decode_array(doc, shape: tuple, path: str) -> np.ndarray:
 
 
 def read_json(path):
-    """Parse the JSON document at ``path``; invalid JSON is a SchemaError."""
+    """Parse the JSON document at ``path``; a file json cannot parse is a SchemaError."""
     with open(path) as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError: a JSONDecodeError, bytes that are not UTF-8, or an int literal past 4,300 digits;
+        # RecursionError: nested too deep for json's scanner
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
-def _scalar_text(value) -> str | None:
-    """json's text for a str, None, bool, int or float (subclasses too); None for anything else."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        if text in ("nan", "inf", "-inf"):
-            raise NonFiniteError(f"cannot write {text}: JSON has no NaN or Infinity")
-        return text
-    return None
+_ENCODER = json.JSONEncoder(indent=1, allow_nan=False)
+
+
+def _encoded(value, level: int) -> str:
+    """json's text for ``value`` at indent ``level``: json escapes newlines in strings, so raw ones are indents."""
+    try:
+        text = _ENCODER.encode(value)
+    except ValueError as exc:
+        message = str(exc)  # "Out of range float values are not JSON compliant: <repr>"
+        if not message.startswith("Out of range float"):
+            raise  # a container that holds itself
+        spelling = next(word for word in ("nan", "-inf", "inf") if word in message)
+        raise NonFiniteError(f"cannot write {spelling}: JSON has no NaN or Infinity") from exc
+    return text.replace("\n", "\n" + " " * level)
 
 
 def _key_text(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{_scalar_text(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _encoded({key: None}, 0)[3:-8]  # json's coercion, cut from '{\n "<key>": null\n}'
 
 
-def _float_grid_text(value: list | tuple, level: int) -> str | None:
-    """json's indented text for a rectangular nested list of plain floats whose
-    opening bracket sits at indent ``level``; None for any other value."""
+def _float_grid_text(value, level: int) -> str | None:
+    """json's indented text for a plain float or a rectangular nested list of them
+    whose opening bracket sits at indent ``level``; None for any other value."""
     shape, cells, firsts = [], [value], set()
     while (kinds := set(map(type, cells))) == {list}:
         widths = set(map(len, cells))
@@ -171,35 +168,26 @@ def _float_grid_text(value: list | tuple, level: int) -> str | None:
 
 
 def _chunks(value, level: int):
-    """The standard json encoder's text for ``value`` with ``indent=1``, at indent ``level``, in pieces.
+    """json's ``indent=1`` text for ``value`` at indent ``level``, in pieces.
 
-    The top-level object and the lists directly under it go one element at a
-    time, so no piece holds more than one of their elements.
+    The top-level object and the containers directly under it go one element
+    at a time.  Below them float blocks are formatted here, all else by json.
     """
-    text = _scalar_text(value)
-    if text is not None:
-        yield text
-        return
-    if isinstance(value, dict):
-        brackets, items = "{}", ((_key_text(key) + ": ", item) for key, item in value.items())
-    elif isinstance(value, (list, tuple)):
-        text = _float_grid_text(value, level) if level >= 2 else None
-        if text is not None:
-            yield text
-            return
-        brackets, items = "[]", (("", item) for item in value)
+    if level < 2 and isinstance(value, (dict, list, tuple)) and value:
+        if isinstance(value, dict):
+            brackets, items = "{}", ((_key_text(key) + ": ", item) for key, item in value.items())
+        else:
+            brackets, items = "[]", (("", item) for item in value)
+        inner = "\n" + " " * (level + 1)
+        sep = brackets[0] + inner
+        for prefix, item in items:
+            yield sep + prefix
+            yield from _chunks(item, level + 1)
+            sep = "," + inner
+        yield "\n" + " " * level + brackets[1]
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        yield brackets
-        return
-    inner = "\n" + " " * (level + 1)
-    sep = brackets[0] + inner
-    for prefix, item in items:
-        yield sep + prefix
-        yield from _chunks(item, level + 1)
-        sep = "," + inner
-    yield "\n" + " " * level + brackets[1]
+        text = _float_grid_text(value, level) if level >= 2 else None
+        yield _encoded(value, level) if text is None else text
 
 
 def write_json(doc, path=None) -> None:

@@ -22,7 +22,8 @@ the SVD L = U S V^H: exactly the classical output, with the backward stability
 of Householder QR, so no reorthogonalization pass is needed.  The residuals
 inherit Q's orthogonality instead of cancelling f_k against its predecessors.
 
-Each step inverts its residual Gram L_kk L_kk^H, so a degenerate residual is
+Each step compares the singular values of its residual factor L_kk with an
+anchor, the scale of the unprojected signal, so a degenerate residual is
 reported as DegenerateStepError at its step: that failure mode is precisely
 what it means for the input family to be linearly dependent, and no silently
 non-orthonormal output can escape.

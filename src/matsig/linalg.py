@@ -82,8 +82,7 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """T with T @ P @ T = I for Hermitian positive definite P.
 
     Raises SingularMatrixError unless every eigenvalue is nonzero under the
-    rank rule; for Gram matrices that means a degenerate signal reached an
-    orthonormalization step.
+    rank rule; for a self-Gram <f, f> that means f is degenerate.
     """
     w, v = _eigh(p)
     if not nonzero_eigenvalues(w, cfg).all():

@@ -86,6 +86,36 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+DEEP_SIGNALS = '{"schema_version": "1", "n": 1, "m": 1, "k": 1, "field": "real", "signals": %s}' % (
+    "[" * 990 + "]" * 990
+)
+
+
+@pytest.mark.parametrize(
+    "content, claims",
+    [
+        (b"\xff\xfe{}", None),
+        (DEEP_SIGNALS.encode(), None),
+        (b'{"schema_version": "1", "n": ' + b"1" * 5000 + b"}", None),  # past int's 4,300-digit limit
+        *[(None, claims) for claims in (5, None, [["independent"]], "independent", {"a": 1})],
+    ],
+    ids=["not-utf8", "nested-990", "int-5000-digits",
+         "claims-int", "claims-null", "claims-nested", "claims-str", "claims-object"],
+)
+def test_unparsable_file_or_claims_exit_two(tmp_path, capsys, content, claims):
+    # bad input, never a failed verification; a string of claims is not a list of its letters
+    path = tmp_path / "input.json"
+    if content is None:
+        family = ms.gen_random_family(4, 1, 3, 2, "independent", field="real")
+        ms.save_family(path, family, {"claims": claims})
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_orthonormalize_dependent_family_exits_two(tmp_path, capsys):
     path = tmp_path / "dep.json"
     run(capsys, "gen", "--seed", "5", "--n", "2", "--m", "3", "--k", "2",
@@ -198,6 +228,7 @@ def test_analyze_text_output(tmp_path, capsys):
         ("orthonormalize", "{basis}", "-o", "{basis}.out", "--format", "json"),
         ("lattice", "det", "{basis}", "--tol-ortho", "1e-9"),
         ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "1", "--tol-ortho", "1e-9"),
+        ("gen", "--seed", "-1", "--n", "1", "--m", "3", "--k", "2", "--kind", "independent", "-o", "{basis}.out"),
     ],
 )
 def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):

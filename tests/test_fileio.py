@@ -540,7 +540,7 @@ def test_write_json_stops_on_a_list_that_contains_itself():
     loop.append(loop)
     with pytest.raises(ValueError):
         json.dumps([[loop]], indent=1)
-    with pytest.raises(RecursionError):
+    with pytest.raises(ValueError):
         _written([[loop]])
 
 
