@@ -15,6 +15,8 @@ the concrete basis never enter a computation; they are carried only as file
 metadata (see :mod:`matsig.fileio`).  The sum is one block of a product of row
 matrices (``to_rows``), so family-level operations run on the KN x MN matrix R
 of a family's stacked row functions, as one matrix product or factorisation.
+Every signal and family stores its coefficients in R's memory order, so R is a
+view of them.
 
 All values are immutable after construction and every operation is a pure
 function, so signals and families may be freely shared between threads.  A
@@ -102,11 +104,7 @@ class MatrixSignal:
     field: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs)
-        if arr.ndim != 3:
-            raise DimensionMismatchError(f"coeffs must have shape (M, N, N), got {arr.shape}")
-        _check_member_shape(arr.shape)
-        coeffs, field = _typed_copy(arr, self.field)
+        coeffs, field = _typed_copy(_coeff_array(self.coeffs, 3), self.field)
         object.__setattr__(self, "coeffs", _freeze(coeffs))
         object.__setattr__(self, "field", field)
 
@@ -131,18 +129,20 @@ class MatrixSignal:
         return f"MatrixSignal(n={self.n}, m={self.m}, field={self.field!r})"
 
 
-def _check_member_shape(shape: tuple[int, ...]) -> None:
-    """Raise DimensionMismatchError unless ``shape`` is (M, N, N) with M, N >= 1."""
-    if shape[1] != shape[2]:
-        raise DimensionMismatchError(f"coeffs must have shape (M, N, N), got {shape}")
-    if shape[0] < 1 or shape[1] < 1:
-        raise DimensionMismatchError("M and N must both be at least 1")
+def _coeff_array(coeffs, ndim: int) -> np.ndarray:
+    """``coeffs`` as an (M, N, N) array (ndim 3) or a (K, M, N, N) one (ndim 4), every size at least 1."""
+    arr = np.asarray(coeffs)
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or 0 in arr.shape:
+        shape = "(K, M, N, N)" if ndim == 4 else "(M, N, N)"
+        raise DimensionMismatchError(f"coeffs must have shape {shape}, every size at least 1, got {arr.shape}")
+    return arr
 
 
 def _typed_copy(arr: np.ndarray, field: str | None) -> tuple[np.ndarray, str]:
-    """A finite float64 ("real") or complex128 ("complex") copy of ``arr`` in its memory order, and the field.
+    """A finite float64 ("real") or complex128 ("complex") copy of a (..., M, N, N) ``arr``, and the field.
 
-    ``field=None`` infers it: "complex" exactly when some imaginary part is nonzero.
+    The copy is stored as (..., N, M, N), so that ``to_rows`` of it is a view.
+    ``field=None`` infers the field: "complex" exactly when some imaginary part is nonzero.
     """
     if field is None:
         field = "complex" if (np.iscomplexobj(arr) and np.any(arr.imag)) else "real"
@@ -151,11 +151,10 @@ def _typed_copy(arr: np.ndarray, field: str | None) -> tuple[np.ndarray, str]:
             if np.any(arr.imag):
                 raise ValueError("field='real' but coefficients have imaginary parts")
             arr = arr.real
-        arr = np.array(arr, dtype=np.float64)
-    elif field == "complex":
-        arr = np.array(arr, dtype=np.complex128)
-    else:
+    elif field != "complex":
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    dtype = np.float64 if field == "real" else np.complex128
+    arr = np.array(arr.swapaxes(-3, -2), dtype=dtype, order="C").swapaxes(-3, -2)
     if not np.isfinite(arr).all():
         raise NonFiniteError("coefficients hold NaN or Infinity")
     return arr, field
@@ -179,9 +178,10 @@ def _member(coeffs: np.ndarray, field: str) -> MatrixSignal:
 class SignalFamily:
     """An ordered set of K signals sharing the same N, M and field.
 
-    The coefficients are stored once, as one read-only (K, M, N, N) stack; the
-    members are views into it and carry its field.  Signals of both fields make
-    a complex family; a real signal enters its stack as x + 0j.
+    The coefficients are stored once, as one read-only (K, M, N, N) stack laid
+    out as its row matrix R (``to_rows`` of it is a view); the members are
+    views into it and carry its field.  Signals of both fields make a complex
+    family; a real signal enters its stack as x + 0j.
     """
 
     signals: tuple[MatrixSignal, ...]
@@ -190,15 +190,16 @@ class SignalFamily:
         signals = tuple(self.signals)
         if len(signals) < 1:
             raise DimensionMismatchError("a family needs at least one signal")
-        n, m = signals[0].n, signals[0].m
+        first = signals[0]
         for idx, sig in enumerate(signals):
             if not isinstance(sig, MatrixSignal):
                 raise TypeError(f"signals[{idx}] is not a MatrixSignal")
-            if sig.n != n or sig.m != m:
+            if sig.n != first.n or sig.m != first.m:
                 raise DimensionMismatchError(
-                    f"signals[{idx}] has (n, m)=({sig.n}, {sig.m}), expected ({n}, {m})"
+                    f"signals[{idx}] has (n, m)=({sig.n}, {sig.m}), expected ({first.n}, {first.m})"
                 )
-        self._adopt(np.stack([sig.coeffs for sig in signals]))
+        # stacked as (K, N, M, N), the layout of the row matrix R
+        self._adopt(np.stack([sig.coeffs.swapaxes(0, 1) for sig in signals]).swapaxes(1, 2))
 
     def _adopt(self, stack: np.ndarray) -> None:
         """Store ``stack`` read-only, with member k the view stack[k] tagged with the stack's field."""
@@ -213,17 +214,7 @@ class SignalFamily:
         rule.  The checks, the exceptions and the stored bytes and strides are
         those of ``SignalFamily(tuple(MatrixSignal(c, family.field) for c in coeffs))``.
         """
-        arr = np.asarray(coeffs)
-        if arr.ndim != 4:
-            raise DimensionMismatchError(
-                f"expected a (K, M, N, N) coefficient array, got shape {arr.shape}"
-            )
-        if arr.shape[0] < 1:
-            raise DimensionMismatchError("a family needs at least one signal")
-        _check_member_shape(arr.shape[1:])
-        stack, _ = _typed_copy(arr, field)
-        if stack.strides[0] * arr.shape[0] != stack.nbytes:
-            stack = np.stack(list(stack))  # K is not the outermost axis, as in a Fortran-order input
+        stack, _ = _typed_copy(_coeff_array(coeffs, 4), field)
         family = object.__new__(cls)
         family._adopt(stack)
         return family
@@ -272,6 +263,7 @@ def to_rows(coeffs: np.ndarray) -> np.ndarray:
     """N x MN rows of a (M, N, N) signal, or KN x MN rows R of a (K, M, N, N) stack.
 
     Row i of a signal concatenates row i of its M coefficients, so <f_k, f_l> = R_k R_l^H.
+    A view for every stored signal and family, whose coefficients are row-ordered.
     """
     m, n = coeffs.shape[-3], coeffs.shape[-1]
     return coeffs.swapaxes(-3, -2).reshape(-1, m * n)
@@ -343,10 +335,12 @@ def scalar_inner_product(f: MatrixSignal, g: MatrixSignal) -> complex:
     return complex(np.trace(inner_product(f, g)))
 
 
-def _square_matrix(a, n: int) -> np.ndarray:
+def _square_matrix(a, n: int | None = None) -> np.ndarray:
+    """``a`` as an array, unless it is not a square matrix (of size n, when given)."""
     arr = np.asarray(a)
-    if arr.shape != (n, n):
-        raise DimensionMismatchError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or n not in (None, arr.shape[0]):
+        size = "square" if n is None else f"{n}x{n}"
+        raise DimensionMismatchError(f"expected a {size} matrix, got shape {arr.shape}")
     return arr
 
 

@@ -28,10 +28,11 @@ _MAX_DRAWS = 32
 
 
 def _draw_coeffs(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    out = rng.standard_normal(shape)
-    if field == "complex":
-        out = out + 1j * rng.standard_normal(shape)
-    return out
+    try:  # MemoryError: the allocation failed; ValueError: the byte count overflows an index
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if field == "complex" else out
+    except (MemoryError, ValueError) as exc:
+        raise InfeasibleParametersError(f"cannot draw coefficients of shape {shape}: {exc}") from exc
 
 
 def gen_random_family(

@@ -17,7 +17,9 @@ test suite.
 
 analyze_family reads every family verdict off one block Gram R R^H, and every
 member verdict and norm off one pass over the (K, N, MN) stack of the members'
-row matrices; the single-signal functions are that pass at K = 1.
+row matrices; the single-signal functions are that pass at K = 1.  Every rank
+verdict, the witness functions' included, is the rank rule on eigenvalues from
+``linalg._eigvalsh``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
-    HERMITIAN_TOL,
     PSD_TOL,
     MatrixSignal,
     SignalFamily,
@@ -40,14 +41,13 @@ from .core import (
     _norms_m,
     _self_grams,
     gram_orthonormality_residual,
-    inner_product,
     linear_combination,
-    norm_m,
     to_rows,
 )
 from .linalg import (
-    _eigh,
+    _eigenvectors,
     _eigvalsh,
+    _gated_eigvalsh,
     nonzero_eigenvalues,
     null_space_basis,
     null_space_included,
@@ -119,9 +119,8 @@ def block_gram(fam: SignalFamily) -> BlockGram:
     return BlockGram(assembled.reshape(fam.k, fam.n, fam.k, fam.n).swapaxes(1, 2), assembled)
 
 
-def _independence_report(assembled: np.ndarray, required: int, cfg: ToleranceConfig) -> IndependenceReport:
-    """The rank rule on an assembled block Gram that full rank makes ``required``."""
-    w = _eigvalsh(assembled)
+def _independence_report(w: np.ndarray, required: int, cfg: ToleranceConfig) -> IndependenceReport:
+    """The rank rule on the ascending eigenvalues w of a block Gram that full rank makes ``required``."""
     rank = int(nonzero_eigenvalues(w, cfg).sum())
     return IndependenceReport(rank == required, rank, required, float(w[0]))
 
@@ -130,7 +129,7 @@ def is_linearly_independent(
     fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Rank test of the assembled block Gram matrix."""
-    return _independence_report(block_gram(fam).assembled, fam.k * fam.n, cfg)
+    return _independence_report(_eigvalsh(block_gram(fam).assembled), fam.k * fam.n, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +141,7 @@ class FamilyAnalysis:
 
     gram: BlockGram
     independence: IndependenceReport
-    hermitian_deviation: float  # max over k, l of ||<f_k, f_l> - <f_l, f_k>^H||_F
-    hermitian: bool  # hermitian_deviation <= HERMITIAN_TOL * max(1, ||G||_F)
+    hermitian_deviation: float  # ||G - G^H||_F, as the Hermitian gate of the rank test measured it
     psd_margin: float  # min over k of lambda_min(<f_k, f_k>) + PSD_TOL * max(1, ||<f_k, f_k>||_F)
     degenerate: np.ndarray  # is_degenerate of each member
     rows_dependent: np.ndarray  # rows_linearly_dependent of each member
@@ -162,11 +160,13 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     over K; ``is_degenerate``, ``rows_linearly_dependent``, ``norm_m`` and
     ``norm_l2`` are its K = 1 case.  ``gram``, ``independence`` and
     ``orthonormality_residual`` equal what ``block_gram``,
-    ``is_linearly_independent`` and ``orthonormality_residual`` return.
+    ``is_linearly_independent`` and ``orthonormality_residual`` return.  A
+    Gram that fails the Hermitian gate raises NotHermitianError.
     """
     gram = block_gram(fam)
-    blocks, assembled = _freeze(gram.blocks), _freeze(gram.assembled)
-    deviation = float(np.linalg.norm(blocks - blocks.transpose(1, 0, 3, 2).conj(), axis=(2, 3)).max())
+    _freeze(gram.blocks)
+    assembled = _freeze(gram.assembled)
+    family_w, deviation = _gated_eigvalsh(assembled)
     rows = _member_rows(fam)
     self_grams = _self_grams(rows)
     w = _eigvalsh(self_grams)
@@ -175,9 +175,8 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     residual = gram_orthonormality_residual(assembled, fam.k)
     return FamilyAnalysis(
         gram=gram,
-        independence=_independence_report(assembled, fam.k * fam.n, cfg),
-        hermitian_deviation=deviation,
-        hermitian=deviation <= HERMITIAN_TOL * max(1.0, float(np.linalg.norm(assembled))),
+        independence=_independence_report(family_w, fam.k * fam.n, cfg),
+        hermitian_deviation=float(deviation),
         psd_margin=float(np.min(w[:, 0] + PSD_TOL * np.maximum(1.0, norms_m**2))),
         degenerate=_freeze(_degenerate(w, cfg)),
         rows_dependent=_freeze(_rows_dependent(rows, cfg)),
@@ -203,6 +202,7 @@ def verify_independence_witness(
     """
     arr = np.asarray(coeffs)
     f = linear_combination(fam, arr)
+    gram = _self_grams(to_rows(f.coeffs)[None])  # <f, f>, formed as is_degenerate forms it
 
     # "f = 0" needs an external scale: the combination of O(1) inputs that
     # cancels to roundoff must count as zero even though its own largest
@@ -210,11 +210,11 @@ def verify_independence_witness(
     coeff_scale = float(np.linalg.norm(arr, axis=(1, 2)).max())
     input_scale = float(_norms_m(_self_grams(_member_rows(fam))).max())
     zero_scale = max(1.0, coeff_scale * input_scale)
-    if norm_m(f) ** 2 <= cfg.rank_rel_tol * zero_scale**2:
+    if _norms_m(gram)[0] ** 2 <= cfg.rank_rel_tol * zero_scale**2:
         return coeff_scale <= cfg.rank_rel_tol * max(1.0, coeff_scale)
 
     # an empty null basis means <f, f> has full rank: the condition is vacuous
-    null_b = null_space_basis(inner_product(f, f), cfg)
+    null_b = null_space_basis(gram[0], cfg)
     return all(null_space_included(arr[k], null_b, cfg) for k in range(fam.k))
 
 
@@ -232,14 +232,14 @@ def dependent_witness_search(
     """
     k, n = fam.k, fam.n
     assembled = block_gram(fam).assembled
-    w, v = _eigh(assembled)
+    w = _eigvalsh(assembled)  # the eigenvalues is_linearly_independent ranks
+    if nonzero_eigenvalues(w, cfg).all():
+        return None
     if w[-1] <= 0:
         # every signal is zero: any single nonzero coefficient violates
         out = np.zeros((k, n, n), dtype=complex)
         out[0] = np.eye(n)
         return out
-    if nonzero_eigenvalues(w, cfg).all():
-        return None
-    segments = v[:, 0].reshape(k, n)
+    segments = _eigenvectors(assembled)[:, 0].reshape(k, n)
     u = segments[np.argmax(np.linalg.norm(segments, axis=1))]
     return (u / np.linalg.norm(u))[:, None] * segments.conj()[:, None, :]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from matsig import MatrixSignal, SignalFamily
+from matsig import DEFAULT_TOLERANCES, MatrixSignal, SignalFamily
 
 
 def random_coeffs(rng, m, n, field="complex", scale=1.0):
@@ -27,10 +27,20 @@ def random_matrix(rng, n, field="complex"):
     return out
 
 
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_matrix(rng, n))
+def random_unitary(rng, n, field="complex"):
+    q, r = np.linalg.qr(random_matrix(rng, n, field))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def pinned_rows(rng, rows, cols, field="complex"):
+    """A rows x cols matrix (rows <= cols) with singular values 1, draws from [0.1, 1),
+    and last sqrt(rank_rel_tol) * (1 +- 1e-13): the smallest eigenvalue of its Gram
+    sits on the default rank threshold to within roundoff."""
+    s = rng.uniform(0.1, 1.0, rows)
+    s[0] = 1.0
+    s[-1] = np.sqrt(DEFAULT_TOLERANCES.rank_rel_tol) * (1.0 + rng.choice([-1e-13, 1e-13]))
+    return (random_unitary(rng, rows, field) * s) @ random_unitary(rng, cols, field)[:rows]
 
 
 def random_psd(rng, n, eigenvalues=None):

@@ -10,8 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", ["family_kernels", "lattice_search"])
+# cli_pipeline takes about 5 s a run, so only its untraced mode, which checks the exit codes and the analyze JSON
+@pytest.mark.parametrize(
+    "workload, trace",
+    [("family_kernels", 0), ("family_kernels", 1), ("lattice_search", 0), ("lattice_search", 1), ("cli_pipeline", 0)],
+)
 def test_bench_smoke(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--smoke",

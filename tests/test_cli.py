@@ -229,6 +229,9 @@ def test_analyze_text_output(tmp_path, capsys):
         ("lattice", "det", "{basis}", "--tol-ortho", "1e-9"),
         ("lattice", "nearest", "{basis}", "--target", "{basis}", "--bound", "1", "--tol-ortho", "1e-9"),
         ("gen", "--seed", "-1", "--n", "1", "--m", "3", "--k", "2", "--kind", "independent", "-o", "{basis}.out"),
+        # a byte count past the index range fails before any allocation is attempted
+        ("gen", "--seed", "1", "--n", "100000", "--m", "100000000", "--k", "100000", "--kind", "independent",
+         "-o", "{basis}.out"),
     ],
 )
 def test_bad_numeric_arguments_exit_two(tmp_path, capsys, argv):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import matsig as ms
 from matsig.core import from_rows, to_rows
+from matsig.fileio import family_from_doc
 from helpers import random_family, random_matrix, random_signal
 from oracles import quadrature_inner_product, quadrature_norm_l2
 
@@ -349,3 +350,58 @@ def test_from_coeffs_matches_the_per_member_construction(field):
             assert got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable, name
         assert [sig.field for sig in family] == [family.field] * family.k, name
+
+
+def test_every_stored_family_and_signal_is_row_ordered(tmp_path):
+    # to_rows of every stored stack is a view, whichever constructor made it
+    rng = np.random.default_rng(90)
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    generated = ms.gen_random_family(1, 2, 4, 3, "independent")
+    ms.save_family(tmp_path / "f.json", generated)
+    families = {
+        "gen_random_family": generated,
+        "load_family": ms.load_family(tmp_path / "f.json")[0],
+        "from_coeffs C-order": ms.SignalFamily.from_coeffs(stack),
+        "from_coeffs Fortran-order": ms.SignalFamily.from_coeffs(np.asfortranarray(stack)),
+        "SignalFamily(tuple)": ms.SignalFamily(tuple(ms.MatrixSignal(c) for c in stack)),
+        "orthonormalize": ms.orthonormalize(generated).ortho,
+        "orthogonalize": ms.orthogonalize(generated).ortho,
+    }
+    for name, family in families.items():
+        assert np.shares_memory(to_rows(family.coeffs_array), family.coeffs_array), name
+        assert all(np.shares_memory(to_rows(f.coeffs), f.coeffs) for f in family), name
+    signal = ms.MatrixSignal(stack[0])
+    assert np.shares_memory(to_rows(signal.coeffs), signal.coeffs)
+
+
+def _lattice_point_of_integral_floats():
+    lattice = ms.build_lattice(ms.gen_random_family(2, 1, 2, 2, "independent", field="real"))
+    return lattice.point(np.array([[[2.0]], [[-1.0]]])).coeffs
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ms.MatrixSignal(np.zeros((0, 2, 2))), ms.DimensionMismatchError),
+        (lambda: ms.MatrixSignal(np.zeros((1, 0, 0))), ms.DimensionMismatchError),
+        (lambda: ms.SignalFamily((ms.zero_signal(1, 1), np.zeros((1, 1, 1)))), TypeError),
+        (lambda: ms.SignalFamily((np.zeros((1, 1, 1)), ms.zero_signal(1, 1))), TypeError),
+        (lambda: ms.SignalFamily.from_coeffs(np.zeros((1, 2, 2))), ms.DimensionMismatchError),
+        (lambda: ms.SignalFamily.from_coeffs(np.zeros((0, 1, 2, 2))), ms.DimensionMismatchError),
+        (lambda: ms.left_mul(np.eye(3), ms.zero_signal(2, 1)), ms.DimensionMismatchError),
+        (lambda: ms.rank_tol(np.zeros((2, 3))), ms.DimensionMismatchError),
+        (lambda: ms.null_space_included(np.eye(2), np.zeros((3, 1))), ms.DimensionMismatchError),
+        (lambda: family_from_doc([]), ms.SchemaError),
+        (lambda: ms.SampledSignals(grid=[0.0], samples=np.zeros((1, 1, 1, 1)), rule="trapezoid"), ms.SchemaError),
+        (_lattice_point_of_integral_floats, None),
+    ],
+    ids=["m-zero", "n-zero", "member-not-a-signal", "first-member-not-a-signal", "from-coeffs-3d", "from-coeffs-k-zero",
+         "left-mul-wrong-size", "rank-of-non-square", "null-basis-wrong-height", "top-level-list",
+         "one-sample-grid", "point-of-integral-floats"],
+)
+def test_malformed_input_raises_its_documented_error(build, error):
+    if error is None:
+        assert build().tolist() == [[[2]], [[-1]]]
+    else:
+        with pytest.raises(error):
+            build()

@@ -4,7 +4,8 @@
 the CLI's error handling as a traceback.  The ``matsig`` namespace re-exports
 only names its modules list in ``__all__``, so a removal cannot leave a stale
 export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
-turns an overflowed Gram into NonFiniteError instead of a numpy LinAlgError.
+turns an overflowed Gram into NonFiniteError instead of a numpy LinAlgError,
+and that gate is the only Hermitian test.
 No QR or SVD is handed a conjugate copy: QR commutes with conjugation, so the
 transpose serves, and the copy would cost a pass over the whole row matrix.
 The CLI takes every family verdict from ``analyze_family``, so it names none of
@@ -51,6 +52,20 @@ def test_eigen_solves_only_in_linalg():
             if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
                 offences.append(f"{path.name}:{node.lineno}")
     assert not offences, f"eigen-solves outside linalg.py: {offences}"
+
+
+def test_hermitian_tolerance_only_in_linalg():
+    # the gate before every eigen-solve is the one Hermitian test; a second formula would drift from it
+    offences = []
+    for path in SOURCES:
+        if path.name in ("core.py", "linalg.py"):  # core defines HERMITIAN_TOL, linalg's gate reads it
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Name) and node.id == "HERMITIAN_TOL") or (
+                isinstance(node, ast.alias) and node.name == "HERMITIAN_TOL"
+            ):
+                offences.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not offences, f"Hermitian tolerance read outside linalg.py: {offences}"
 
 
 def test_factorisations_take_no_conjugate_copy():

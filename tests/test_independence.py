@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matsig as ms
-from matsig.core import orthonormality_residual, to_rows
-from helpers import random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
+from matsig.core import from_rows, orthonormality_residual, to_rows
+from helpers import pinned_rows, random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
 from oracles import quadrature_block_gram
 
 
@@ -184,6 +184,30 @@ def test_rank_rule_boundary_is_shared(tol, on_threshold_is_zero):
         assert not ms.verify_independence_witness(family, witness, cfg)
     else:
         assert witness is None
+
+
+def _pinned_family(rng, k, n, m):
+    """A family whose block Gram has its smallest eigenvalue on the default rank threshold."""
+    rows = pinned_rows(rng, k * n, m * n, ("real", "complex")[rng.integers(2)])
+    return ms.SignalFamily.from_coeffs(from_rows(rows, n))
+
+
+def test_witness_search_follows_the_independence_verdict_on_the_threshold():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        family = _pinned_family(rng, k, n, int(rng.integers(k, k + 3)))
+        assert (ms.dependent_witness_search(family) is None) == ms.is_linearly_independent(family).independent
+
+
+def test_witness_check_follows_is_degenerate_on_the_threshold():
+    # f = I f_1: the condition is vacuous exactly when <f, f> has an empty null space,
+    # and otherwise fails, since I^H annihilates no null direction
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        family = _pinned_family(rng, 1, n, int(rng.integers(1, 4)))
+        assert ms.verify_independence_witness(family, np.eye(n)[None]) == (not ms.is_degenerate(family[0]))
 
 
 def test_null_space_aligned_search_finds_witnesses():
@@ -369,8 +393,8 @@ def test_analysis_matches_single_signal_functions(family, tol):
     assert _bits(analysis.norm_l2) == _bits([ms.norm_l2(f) for f in family])
     assert _bits(analysis.orthonormality_residual) == _bits(orthonormality_residual(family))
     assert analysis.orthonormal == ms.is_orthonormal_set(family, cfg.ortho_tol)
-    # invariants of every family: a Hermitian PSD Gram, and the norm equivalence of criterion 1
-    assert analysis.hermitian and analysis.psd_margin >= 0.0 and analysis.norms_equivalent
+    # invariants of every family (else the Hermitian gate raised): a PSD Gram, the norm equivalence of criterion 1
+    assert analysis.psd_margin >= 0.0 and analysis.norms_equivalent
     for array in (analysis.gram.blocks, analysis.degenerate, analysis.rows_dependent, analysis.norm_m):
         assert not array.flags.writeable
 

@@ -5,7 +5,7 @@ import pytest
 
 import matsig as ms
 from matsig.linalg import _eigvalsh
-from helpers import random_psd, random_unitary
+from helpers import pinned_rows, random_psd, random_unitary
 
 
 def test_herm_inv_sqrt_identity_and_diagonal():
@@ -78,6 +78,23 @@ def test_rank_tol_unitary_invariance():
         p = random_psd(rng, n, eigenvalues=eigenvalues)
         u = random_unitary(rng, n)
         assert ms.rank_tol(p) == ms.rank_tol(u @ p @ u.conj().T) == r
+
+
+def test_null_space_and_inverse_follow_rank_tol_on_the_threshold():
+    # a Gram whose smallest eigenvalue is on the threshold to within roundoff, where a
+    # second eigen-solve could rank it differently: both read rank_tol's verdict
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        rows = pinned_rows(rng, n, 12, ("real", "complex")[rng.integers(2)])
+        p = rows @ rows.conj().T
+        rank = ms.rank_tol(p)
+        assert ms.null_space_basis(p).shape == (n, n - rank)
+        if rank < n:
+            with pytest.raises(ms.SingularMatrixError):
+                ms.herm_inv_sqrt(p)
+        else:
+            ms.herm_inv_sqrt(p)
 
 
 def test_null_space_basis_annihilates():
