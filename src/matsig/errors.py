@@ -21,35 +21,30 @@ class SingularMatrixError(MatrixSignalError, ValueError):
     """A matrix that must be invertible is singular at the configured rank tolerance.
 
     Raised by ``herm_inv_sqrt``; for a self-Gram <f, f> it means f is
-    degenerate.  Orthonormalization does not invert Grams: a degenerate step
-    there raises DegenerateStepError.
+    degenerate.  Orthonormalization inverts no Gram: it refuses a dependent
+    family with DegenerateStepError.
     """
-
-
-class DegenerateStepError(MatrixSignalError, ValueError):
-    """Gram-Schmidt produced a degenerate residual at some step.
-
-    This certifies that the input family is not linearly independent; the
-    offending step index is stored in ``step``.
-    """
-
-    def __init__(self, step):
-        self.step = step
-        super().__init__(
-            f"Gram-Schmidt residual at step {step} is degenerate; "
-            "the input family is not linearly independent"
-        )
 
 
 class NotIndependentError(MatrixSignalError, ValueError):
     """A linearly independent family was required; the attached report says why not."""
 
-    def __init__(self, report):
+    def __init__(self, report, message):
         self.report = report
-        super().__init__(
-            f"family is not linearly independent: block Gram rank "
-            f"{report.block_gram_rank} < {report.required_rank}"
-        )
+        super().__init__(message)
+
+
+class DegenerateStepError(NotIndependentError):
+    """Gram-Schmidt was given a family that is_linearly_independent's rule calls dependent.
+
+    ``report`` is that rule's report, and ``step`` ends the first member prefix
+    f_0 ... f_step that the rule calls dependent: the first degenerate residual.
+    """
+
+    def __init__(self, step, report):
+        self.step = step
+        message = f"Gram-Schmidt residual at step {step} is degenerate; the input family is not linearly independent"
+        super().__init__(report, message)
 
 
 class NotRealError(MatrixSignalError, ValueError):

@@ -46,8 +46,8 @@ def gen_random_family(
 ) -> SignalFamily:
     """Deterministic family of the requested kind.
 
-    independent  -- random coefficients, re-drawn until the block Gram has
-                    full rank (requires m >= k)
+    independent  -- random coefficients, re-drawn until the member-whitened
+                    block Gram has full rank (requires m >= k)
     orthonormal  -- Gram-Schmidt applied to an independent draw
     degenerate   -- member 0 has its second row function equal to three times
                     the first (or is the zero signal when n = 1); the rest are

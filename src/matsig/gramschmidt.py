@@ -14,19 +14,18 @@ residuals f^_k together with their mu coefficients
 Both come from one Householder QR factorisation of the family's KN x MN row
 matrix R (row block k holds f_k), R = L Q with L lower block-triangular and Q
 with orthonormal rows.  It is computed as R^T = Q^T L^T, the QR of the
-transpose, a view of R: Householder QR commutes with conjugation bit for bit,
-so this gives the conjugates of the factors of R^H = Q^H L^H without a
-conjugate copy of R.  Then f^_k = L_kk Q_k (f^_1 = f_1 exactly),
-mu[l, k] = L_kl L_ll^{-1}, and g_k = polar(L_kk) Q_k with polar(L) = U V^H from
-the SVD L = U S V^H: exactly the classical output, with the backward stability
-of Householder QR, so no reorthogonalization pass is needed.  The residuals
-inherit Q's orthogonality instead of cancelling f_k against its predecessors.
+transpose, a view of R, so no conjugate copy of R is made.  (Its factors are
+the conjugates of those of R^H = Q^H L^H in almost every draw, but not bit for
+bit in all: a signed zero can flip a reflector.)  Then f^_k = L_kk Q_k
+(f^_1 = f_1 exactly), mu[l, k] = L_kl L_ll^{-1}, and g_k = polar(L_kk) Q_k
+with polar(L) = U V^H from the SVD L = U S V^H: exactly the classical output,
+with the backward stability of Householder QR, so no reorthogonalization pass
+is needed.  The residuals inherit Q's orthogonality instead of cancelling f_k
+against its predecessors.
 
-Each step compares the singular values of its residual factor L_kk with an
-anchor, the scale of the unprojected signal, so a degenerate residual is
-reported as DegenerateStepError at its step: that failure mode is precisely
-what it means for the input family to be linearly dependent, and no silently
-non-orthonormal output can escape.
+A family is refused, with DegenerateStepError at the first member prefix that
+is_linearly_independent's rule on L L^H = R R^H calls dependent, exactly when
+the rule calls the whole family dependent: no non-orthonormal output escapes.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
-    _self_grams,
     check_same_shape,
     from_rows,
     inner_product,
@@ -54,6 +52,8 @@ from .errors import (
     DegenerateStepError,
     MatrixSignalError,
 )
+from .independence import _independence_report
+from .linalg import rank_tol
 
 __all__ = [
     "GramSchmidtResult",
@@ -86,26 +86,18 @@ class GramSchmidtResult:
 def _factor(fam: SignalFamily, cfg: ToleranceConfig):
     """The (K, N, K, N) blocks of L, the L_kk, the rows of Q, and polar factors and singular values of L_kk.
 
-    Step k is degenerate when sigma_min(L_kk)^2 <= rank_rel_tol *
-    max(sigma_max(L_kk)^2, ||<f_k, f_k>||_F).  The anchor is the scale of the
-    *unprojected* signal: a residual that cancelled to roundoff has a tiny but
-    well-shaped spectrum of its own, and only the outside anchor exposes it.
-    It is read off L as ||L_k L_k^H||_F, L_k the k-th block row of L, since
-    <f_k, f_k> = L_k Q Q^H L_k^H.  With M < K the rows span at most MN
-    dimensions, so step M is degenerate.
+    Refuses the family when is_linearly_independent's rule calls L L^H = R R^H
+    dependent (with M < K, L is KN x MN), at the first member prefix it calls dependent.
     """
-    k, n, steps = fam.k, fam.n, min(fam.k, fam.m)
+    k, n = fam.k, fam.n
     q, upper = np.linalg.qr(to_rows(fam.coeffs_array).T)
-    lower = upper.T.reshape(k, n, steps, n)
-    diagonal = lower[np.arange(steps), :, np.arange(steps), :]
+    report, whitened, _, _ = _independence_report(upper.T @ upper.conj(), k, cfg)
+    if not report.independent:
+        prefixes = (j for j in range(1, k + 1) if rank_tol(whitened[: j * n, : j * n], cfg) < j * n)
+        raise DegenerateStepError(next(prefixes, k) - 1, report)  # the whole family is the last prefix
+    lower = upper.T.reshape(k, n, k, n)
+    diagonal = lower[np.arange(k), :, np.arange(k), :]
     u, s, vh = np.linalg.svd(diagonal)
-    block_rows = lower[:steps].reshape(steps, n, steps * n)
-    anchors = np.linalg.norm(_self_grams(block_rows), axis=(-2, -1))
-    passed = s[:, -1] ** 2 > cfg.rank_rel_tol * np.maximum(s[:, 0] ** 2, anchors)
-    if not passed.all():
-        raise DegenerateStepError(int(np.argmin(passed)))
-    if steps < k:
-        raise DegenerateStepError(steps)
     return lower, diagonal, q.T, u @ vh, s
 
 

@@ -9,8 +9,9 @@ combination sum_k F_k f_k that comes out degenerate forces null(<f, f>) to sit
 inside null(F_k^H) for all k.  That definition quantifies over all coefficient
 choices, so it is checked through an equivalent operational form: the K*N row
 functions of all members are conventionally independent, i.e. the assembled
-KN x KN block Gram matrix has full rank.  verify_independence_witness probes
-the definition directly for particular coefficient choices, and
+KN x KN block Gram matrix has full rank, read off the member-whitened Gram
+(``linalg.whitened_rank``), as Gram-Schmidt reads it.  verify_independence_witness
+probes the definition directly for particular coefficient choices, and
 dependent_witness_search reconstructs an explicit violating choice for any
 rank-deficient family, so the equivalence is itself cross-validated by the
 test suite.
@@ -18,8 +19,8 @@ test suite.
 analyze_family reads every family verdict off one block Gram R R^H, and every
 member verdict and norm off one pass over the (K, N, MN) stack of the members'
 row matrices; the single-signal functions are that pass at K = 1.  Every rank
-verdict, the witness functions' included, is the rank rule on eigenvalues from
-``linalg._eigvalsh``.
+verdict, the witness functions' included, is the rank rule of
+``linalg.nonzero_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from .core import (
 from .linalg import (
     _eigenvectors,
     _eigvalsh,
-    _gated_eigvalsh,
     nonzero_eigenvalues,
     null_space_basis,
     null_space_included,
+    whitened_rank,
 )
 
 __all__ = [
@@ -83,6 +84,8 @@ class BlockGram:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    """The rank rule on the member-whitened block Gram: its rank, the full rank KN, and its least eigenvalue."""
+
     independent: bool
     block_gram_rank: int
     required_rank: int
@@ -119,17 +122,17 @@ def block_gram(fam: SignalFamily) -> BlockGram:
     return BlockGram(assembled.reshape(fam.k, fam.n, fam.k, fam.n).swapaxes(1, 2), assembled)
 
 
-def _independence_report(w: np.ndarray, required: int, cfg: ToleranceConfig) -> IndependenceReport:
-    """The rank rule on the ascending eigenvalues w of a block Gram that full rank makes ``required``."""
-    rank = int(nonzero_eigenvalues(w, cfg).sum())
-    return IndependenceReport(rank == required, rank, required, float(w[0]))
+def _independence_report(gram: np.ndarray, k: int, cfg: ToleranceConfig):
+    """The report on a K-member KN x KN block Gram, then ``whitened_rank``'s W, map back and gate deviation."""
+    rank, w, *rest = whitened_rank(gram, k, cfg)
+    return (IndependenceReport(rank == gram.shape[0], rank, gram.shape[0], float(w[0])), *rest)
 
 
 def is_linearly_independent(
     fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
-    """Rank test of the assembled block Gram matrix."""
-    return _independence_report(_eigvalsh(block_gram(fam).assembled), fam.k * fam.n, cfg)
+    """Rank test of the member-whitened block Gram matrix."""
+    return _independence_report(block_gram(fam).assembled, fam.k, cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +169,7 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     gram = block_gram(fam)
     _freeze(gram.blocks)
     assembled = _freeze(gram.assembled)
-    family_w, deviation = _gated_eigvalsh(assembled)
+    independence, _, _, deviation = _independence_report(assembled, fam.k, cfg)
     rows = _member_rows(fam)
     self_grams = _self_grams(rows)
     w = _eigvalsh(self_grams)
@@ -175,7 +178,7 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     residual = gram_orthonormality_residual(assembled, fam.k)
     return FamilyAnalysis(
         gram=gram,
-        independence=_independence_report(family_w, fam.k * fam.n, cfg),
+        independence=independence,
         hermitian_deviation=float(deviation),
         psd_margin=float(np.min(w[:, 0] + PSD_TOL * np.maximum(1.0, norms_m**2))),
         degenerate=_freeze(_degenerate(w, cfg)),
@@ -223,23 +226,18 @@ def dependent_witness_search(
 ) -> np.ndarray | None:
     """Construct coefficients that violate the independence condition, if any exist.
 
-    A null vector w of the assembled block Gram encodes segment vectors
-    v_k whose combination sum_k v_k^H f_k vanishes almost everywhere; the
-    rank-one coefficients F_k = u v_k^H (u any unit vector) then sum to the
-    zero signal while not all being zero, which is exactly a violating
-    witness.  Returns the (K, N, N) coefficient stack, or None when the family
-    is independent at tolerance.
+    A null vector of the member-whitened block Gram, mapped back to the Gram's
+    coordinates, encodes segment vectors v_k whose combination sum_k v_k^H f_k
+    vanishes almost everywhere; the rank-one coefficients F_k = u v_k^H (u any
+    unit vector) then sum to the zero signal while not all being zero, which is
+    exactly a violating witness.  Returns the (K, N, N) coefficient stack, or
+    None when is_linearly_independent says independent.
     """
-    k, n = fam.k, fam.n
-    assembled = block_gram(fam).assembled
-    w = _eigvalsh(assembled)  # the eigenvalues is_linearly_independent ranks
-    if nonzero_eigenvalues(w, cfg).all():
+    report, whitened, back, _ = _independence_report(block_gram(fam).assembled, fam.k, cfg)
+    if report.independent:
         return None
-    if w[-1] <= 0:
-        # every signal is zero: any single nonzero coefficient violates
-        out = np.zeros((k, n, n), dtype=complex)
-        out[0] = np.eye(n)
-        return out
-    segments = _eigenvectors(assembled)[:, 0].reshape(k, n)
+    z = _eigenvectors(whitened)[:, 0].reshape(fam.k, fam.n, 1)
+    segments = (back @ z)[..., 0]
+    segments /= np.linalg.norm(segments)  # unit scale, as verify_independence_witness's zero test expects
     u = segments[np.argmax(np.linalg.norm(segments, axis=1))]
     return (u / np.linalg.norm(u))[:, None] * segments.conj()[:, None, :]

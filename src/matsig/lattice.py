@@ -3,11 +3,12 @@
 A lattice is the set { sum_k F_k f_k : F_k integer N x N matrices } for a
 linearly independent real basis family.  A point is the combination's row
 matrix [F_1 ... F_K] R, with R the basis's KN x MN row matrix.  The
-determinant is defined directly from the Gram-Schmidt orthogonalization as the
-product of the residual signal norms; no basis-reduction algorithm is
-provided, only desk-scale brute-force enumeration of the coefficient box and
-closest-point search over it, scored on coefficient stacks without building a
-signal per box point.
+determinant is the paper's product of the Gram-Schmidt residual signal norms:
+for N = 1 it is sqrt(det R R^T), but for N > 1 it depends on the basis, even
+on the order of its members, so it is not an invariant of the lattice.  No
+basis reduction is provided, only desk-scale brute-force enumeration of the
+coefficient box and closest-point search over it, scored on coefficient
+stacks without building a signal per box point.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from .core import (
 from .errors import (
     EnumerationCapError,
     NonIntegerCoefficientError,
-    NotIndependentError,
     NotRealError,
 )
 from .gramschmidt import GramSchmidtResult, orthogonalize
-from .independence import is_linearly_independent
 
 __all__ = [
     "LatticePoint",
@@ -161,12 +160,9 @@ class MatrixLattice:
 
 
 def build_lattice(basis: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> MatrixLattice:
-    """Validate the basis (real, linearly independent) and cache its orthogonalization."""
+    """Validate the basis (real; independent, as orthogonalize's verdict) and cache its orthogonalization."""
     if basis.field != "real":
         raise NotRealError("lattice basis signals must be real-valued")
-    report = is_linearly_independent(basis, cfg)
-    if not report.independent:
-        raise NotIndependentError(report)
     gs = orthogonalize(basis, cfg)
     determinant = float(np.prod(gs.step_norms))
     return MatrixLattice(basis=basis, gs=gs, determinant=determinant)

@@ -1,16 +1,14 @@
 """Hermitian-matrix utilities: inverse square roots, tolerant rank, null spaces.
 
-Everything here is a thin, carefully-toleranced layer over numpy's Hermitian
-eigendecomposition, and it holds the package's one rank rule
-(``nonzero_eigenvalues``): an eigenvalue counts as nonzero exactly when it
-exceeds rank_rel_tol * lambda_max, and none does when lambda_max <= 0.  Rank,
-null spaces, invertibility, degeneracy and linear independence all take their
-verdict from that mask over the eigenvalues of ``_eigvalsh``, which ranks each
-matrix of a stack along the last axis.  ``_eigenvectors`` supplies vectors
-only, so a matrix on the threshold gets one verdict whichever function asks.
-Both go through one Hermitian gate, the package's only Hermitian test: it
-measures ||P - P^H||_F, and turns an overflowed Gram (a NaN deviation) into
-NonFiniteError, not a numpy error.
+A thin, carefully-toleranced layer over numpy's Hermitian eigendecomposition
+that holds the package's one rank rule (``nonzero_eigenvalues``): an eigenvalue
+counts as nonzero exactly when it exceeds rank_rel_tol * lambda_max, and none
+does when lambda_max <= 0.  Rank, null spaces, invertibility and degeneracy
+apply it to the eigenvalues of ``_eigvalsh`` (``_eigenvectors`` supplies vectors
+only), linear independence to those of the member-whitened block Gram
+(``whitened_rank``).  Every solve passes one Hermitian gate, the package's only
+Hermitian test: it measures ||P - P^H||_F, and turns an overflowed Gram (a NaN
+deviation) into NonFiniteError, not a numpy error.
 """
 
 from __future__ import annotations
@@ -59,16 +57,9 @@ def _eigenvectors(p) -> np.ndarray:
     return np.linalg.eigh(_hermitian_part(_square_matrix(p))[0])[1]
 
 
-def _gated_eigvalsh(p) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of a Hermitian matrix, or of each in an (..., n, n) stack,
-    and the deviation ||P - P^H||_F that the gate measured on each."""
-    hermitian, deviation = _hermitian_part(np.asarray(p))
-    return np.linalg.eigvalsh(hermitian), deviation
-
-
 def _eigvalsh(p) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each in an (..., n, n) stack."""
-    return _gated_eigvalsh(p)[0]
+    return np.linalg.eigvalsh(_hermitian_part(np.asarray(p))[0])
 
 
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -79,6 +70,32 @@ def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """
     top = w[..., -1:]
     return (top > 0) & (w > cfg.rank_rel_tol * top)
+
+
+def whitened_rank(gram: np.ndarray, k: int, cfg: ToleranceConfig):
+    """The independence verdict: the rank rule on the member-whitened Gram W of a K-member block Gram G.
+
+    With G gated and G_kk = U_k diag(lambda_k) U_k^H, W is the Hermitian part of
+    T G T^H, T = blockdiag(diag(mask_k lambda_k^(-1/2)) U_k^H), mask_k the rule on
+    lambda_k.  A degenerate member leaves a zero row in W; otherwise W has the
+    spectrum of B^-1 G B^-H, B = blockdiag(chol G_kk), a function of the angles
+    between the members' row spaces only, which scaling a member or multiplying
+    it on the left by an invertible matrix keeps.  W's leading principal
+    submatrices are the whitened Grams of the member prefixes.  Returns the
+    rank, W's ascending eigenvalues, W, the (K, N, N) stack U_k diag(lambda_k^(-1/2))
+    (weight 1 off mask_k) mapping W's coordinates to G's, and the gate's ||G - G^H||_F.
+    """
+    hermitian, deviation = _hermitian_part(np.asarray(gram))
+    n = hermitian.shape[0] // k
+    lam, u = np.linalg.eigh(hermitian.reshape(k, n, k, n)[np.arange(k), :, np.arange(k)])
+    mask = nonzero_eigenvalues(lam, cfg)
+    back = u / np.sqrt(np.where(mask, lam, 1.0))[:, None, :]
+    t = (back * mask[:, None, :]).conj().swapaxes(-1, -2)
+    rows = (t @ hermitian.reshape(k, n, k * n)).reshape(k * n, k, n)  # T G, columns split by member
+    product = (rows.swapaxes(0, 1) @ t.conj().swapaxes(-1, -2)).swapaxes(0, 1).reshape(k * n, k * n)
+    whitened = (product + product.conj().T) / 2.0
+    w = np.linalg.eigvalsh(whitened)
+    return int(nonzero_eigenvalues(w, cfg).sum()), w, whitened, back, deviation
 
 
 def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -43,6 +43,29 @@ def pinned_rows(rng, rows, cols, field="complex"):
     return (random_unitary(rng, rows, field) * s) @ random_unitary(rng, cols, field)[:rows]
 
 
+def angle_pinned_rows(rng, n, m, delta, field="complex"):
+    """The 2N x MN rows (M >= 2) of a K = 2 family whose member-whitened block Gram has
+    lambda_min / lambda_max = t = rank_rel_tol * (1 + delta).
+
+    Member 1's orthonormal rows are c_i times member 0's plus sqrt(1 - c_i^2) times
+    orthonormal rows orthogonal to them, rotated by a random unitary, with c_0 = (1 - t) / (1 + t)
+    and the other c_i uniform in [0.1, 0.9]; the whitened Gram's eigenvalues are 1 +- c_i.
+    Each member is then multiplied on the left by a matrix with singular values in [1, 10],
+    and the rows by 2^e, |e| <= 20.
+    """
+    t = DEFAULT_TOLERANCES.rank_rel_tol * (1.0 + delta)
+    cos, sin = rng.uniform(0.1, 0.9, n), np.zeros(n)
+    cos[0], sin[0] = (1.0 - t) / (1.0 + t), 2.0 * np.sqrt(t) / (1.0 + t)
+    sin[1:] = np.sqrt(1.0 - cos[1:] ** 2)
+    basis = random_unitary(rng, m * n, field)[: 2 * n]
+    members = [basis[:n], random_unitary(rng, n, field) @ (cos[:, None] * basis[:n] + sin[:, None] * basis[n:])]
+    scaled = [
+        (random_unitary(rng, n, field) * rng.uniform(1.0, 10.0, n)) @ random_unitary(rng, n, field) @ rows
+        for rows in members
+    ]
+    return 2.0 ** int(rng.integers(-20, 21)) * np.concatenate(scaled)
+
+
 def random_psd(rng, n, eigenvalues=None):
     if eigenvalues is None:
         eigenvalues = rng.uniform(0.1, 10.0, size=n)

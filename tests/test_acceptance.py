@@ -6,9 +6,11 @@ conditions, so the suite is green exactly when every line reads PASS.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -381,9 +383,13 @@ def test_criterion_8_quadrature_oracle():
 
 
 def test_criterion_9_cli_pipeline(tmp_path):
+    src = str(Path(ms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def cli(*argv):
         return subprocess.run(
             [sys.executable, "-m", "matsig", *argv],
+            env=env,
             capture_output=True,
             text=True,
         ).returncode

@@ -125,6 +125,21 @@ def test_orthonormalize_dependent_family_exits_two(tmp_path, capsys):
     assert "not linearly independent" in err
 
 
+@pytest.mark.parametrize("e", [16, 17, 20, 26])
+def test_commands_agree_on_a_scaled_member(tmp_path, capsys, e):
+    # member 0 times 2^e is the same independent family: analyze, verify and orthonormalize agree
+    family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
+    coeffs = family.coeffs_array.copy()
+    coeffs[0] *= 2.0**e
+    path = tmp_path / "scaled.json"
+    ms.save_family(path, ms.SignalFamily.from_coeffs(coeffs, field="real"), {"claims": ["independent"]})
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["independence"]["independent"] is True
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert run(capsys, "orthonormalize", str(path), "-o", str(tmp_path / "basis.json"))[0] == 0
+
+
 def test_gen_infeasible_exits_two(tmp_path, capsys):
     code, _, err = run(
         capsys, "gen", "--seed", "1", "--n", "2", "--m", "2", "--k", "3",

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import matsig as ms
 from matsig import core
-from matsig.core import orthonormality_residual, to_rows
-from helpers import random_family, random_matrix, random_signal
+from matsig.core import from_rows, orthonormality_residual, to_rows
+from helpers import angle_pinned_rows, random_family, random_matrix, random_signal
 from oracles import classical_block_gram_schmidt
 
 
@@ -393,17 +393,69 @@ def _factored_matrices(draw):
     return draw(parts)
 
 
+def _rank_one_counterexample():
+    # hypothesis found it: rank 1, and Q of it and conj(Q) of its conjugate differ by 1.69
+    transposed = np.full((16, 5), 2.65647018e-133j)
+    transposed[5, 0] = -1 + 2.65647018e-133j
+    return transposed
+
+
+def _signed_zero_counterexample():
+    # full rank with condition number 8.3, yet Q differs by 1.37: the zeros are -0 + 0j, and the
+    # second reflector's sign follows a signed zero
+    transposed = np.full((16, 3), complex(-0.0, 0.0))
+    transposed[[7, 12], 0] = 2.140154354815433e3, -6.791507709666374e-159
+    transposed[[0, 3, 6, 14], 1] = 9.999999999999998e3, 0.5, -3.504879707432210e3, -1e4
+    transposed[[0, 1, 2, 3, 13, 14], 2] = (
+        3.322522755079389e-188, -1e4, -4.049346457430779e3, -1.128408654320745e3, 2.136609671045374e-97, 1e4
+    )
+    transposed[transposed != 0] *= 1 + 1j
+    return transposed
+
+
 @settings(max_examples=150, deadline=None)
 @given(transposed=_factored_matrices())
+@example(transposed=_rank_one_counterexample())
+@example(transposed=_signed_zero_counterexample())
 def test_qr_of_the_transpose_is_the_conjugate_of_qr_of_the_adjoint(transposed):
-    # _factor and rows_linearly_dependent factor R^T in place of R^H = conj(R^T); their
-    # outputs keep their bits only because the factors are exact conjugates
+    # _factor and rows_linearly_dependent factor R^T in place of R^H = conj(R^T).  Neither needs
+    # the two factorisations to be conjugates bit for bit, and they are not always (see the
+    # examples): R^T = Q^T L^T is R = L Q by itself, and the singular values of the triangular
+    # factor, all that rows_linearly_dependent reads, agree to roundoff on every input.  On
+    # well-conditioned input the factors agree to roundoff up to the phase of each column of Q.
     adjoint = transposed.conj()
-    q, upper = np.linalg.qr(transposed)
-    q_adjoint, upper_adjoint = np.linalg.qr(adjoint)
-    np.testing.assert_array_equal(q, q_adjoint.conj())
-    np.testing.assert_array_equal(upper, upper_adjoint.conj())
-    np.testing.assert_array_equal(
-        np.linalg.svd(np.linalg.qr(transposed, mode="r"), compute_uv=False),
-        np.linalg.svd(np.linalg.qr(adjoint, mode="r"), compute_uv=False),
-    )
+    s = np.linalg.svd(np.linalg.qr(transposed, mode="r"), compute_uv=False)
+    s_adjoint = np.linalg.svd(np.linalg.qr(adjoint, mode="r"), compute_uv=False)
+    np.testing.assert_allclose(s_adjoint, s, rtol=0, atol=1e-13 * s[0])
+    if s[-1] > 1e-6 * s[0]:
+        q, upper = np.linalg.qr(transposed)
+        q_adjoint, upper_adjoint = np.linalg.qr(adjoint)
+        phases = np.sum(q.conj() * q_adjoint.conj(), axis=0)  # unit modulus
+        np.testing.assert_allclose(q * phases, q_adjoint.conj(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(phases.conj()[:, None] * upper, upper_adjoint.conj(), rtol=0, atol=1e-10 * s[0])
+
+
+def test_rank_one_counterexample_is_refused():
+    # the N = 1 family whose rows are the counterexample's columns: members 1-4 are equal
+    family = ms.SignalFamily.from_coeffs(from_rows(_rank_one_counterexample().T, 1))
+    with pytest.raises(ms.DegenerateStepError) as err:
+        ms.orthonormalize(family)
+    assert err.value.step == 2
+
+
+@pytest.mark.parametrize("seed, delta", [(1, 1e-4), (2, -1e-4), (3, 1e-2), (4, -1e-2)])
+def test_orthonormalize_refuses_exactly_what_the_verdict_calls_dependent(seed, delta):
+    # whitened lambda_min / lambda_max = rank_rel_tol * (1 + delta), under member scaling,
+    # left factors and a global 2^e; at delta = +-1e-13 roundoff decides, so it is not asserted
+    rng = np.random.default_rng(seed)
+    for draw in range(300):
+        rows = angle_pinned_rows(rng, 2, 4, delta, ("real", "complex")[draw % 2])
+        family = ms.SignalFamily.from_coeffs(from_rows(rows, 2))
+        report = ms.is_linearly_independent(family)
+        assert report.independent == (delta > 0)
+        if report.independent:
+            assert ms.is_orthonormal_set(ms.orthonormalize(family).ortho)
+        else:
+            with pytest.raises(ms.DegenerateStepError) as err:
+                ms.orthonormalize(family)
+            assert err.value.step == 1 and not err.value.report.independent

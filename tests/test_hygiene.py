@@ -6,8 +6,12 @@ only names its modules list in ``__all__``, so a removal cannot leave a stale
 export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
 turns an overflowed Gram into NonFiniteError instead of a numpy LinAlgError,
 and that gate is the only Hermitian test.
-No QR or SVD is handed a conjugate copy: QR commutes with conjugation, so the
-transpose serves, and the copy would cost a pass over the whole row matrix.
+No QR or SVD is handed a conjugate copy: the QR of R^T is R = L Q transposed,
+and its triangular factor has R's singular values, so the transpose serves,
+and the copy would cost a pass over the whole row matrix.  (The factors of R^T
+and R^H are conjugates in almost every draw, but not bit for bit in all.)
+``rank_rel_tol`` is read only by linalg's rank rule, the row-SVD cross-check and
+the witness's zero test, so Gram-Schmidt keeps no tolerance test of its own.
 The CLI takes every family verdict from ``analyze_family``, so it names none of
 the single-signal functions a second verdict path would call, and importing it
 loads no module that only sampled-file ingestion needs.  ``analyze_family``
@@ -68,8 +72,27 @@ def test_hermitian_tolerance_only_in_linalg():
     assert not offences, f"Hermitian tolerance read outside linalg.py: {offences}"
 
 
+def test_rank_tolerance_read_only_where_verdicts_are_made():
+    # every independence verdict, Gram-Schmidt's included, is linalg's rank rule: a tolerance
+    # test of its own in another module would be a second rule that can disagree with it
+    allowed = {"independence.py": {"_rows_dependent", "verify_independence_witness"}}
+    offences = []
+    for path in SOURCES:
+        if path.name in ("core.py", "linalg.py"):  # core defines rank_rel_tol, linalg's rank rule reads it
+            continue
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            if getattr(statement, "name", None) in allowed.get(path.name, ()):
+                continue
+            offences += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Attribute) and node.attr == "rank_rel_tol"
+            ]
+    assert not offences, f"rank_rel_tol read outside the rank rule: {offences}"
+
+
 def test_factorisations_take_no_conjugate_copy():
-    # QR commutes with conjugation, so factor R^T rather than pay for a copy R^H
+    # the QR of R^T factors R as well as the QR of R^H does, so factor R^T rather than pay for a copy R^H
     offences = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

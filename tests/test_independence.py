@@ -8,7 +8,15 @@ from hypothesis.extra.numpy import arrays
 
 import matsig as ms
 from matsig.core import from_rows, orthonormality_residual, to_rows
-from helpers import pinned_rows, random_family, random_matrix, random_probe_coeffs, random_signal, rank_one
+from helpers import (
+    angle_pinned_rows,
+    pinned_rows,
+    random_family,
+    random_matrix,
+    random_probe_coeffs,
+    random_signal,
+    rank_one,
+)
 from oracles import quadrature_block_gram
 
 
@@ -193,10 +201,12 @@ def _pinned_family(rng, k, n, m):
 
 
 def test_witness_search_follows_the_independence_verdict_on_the_threshold():
+    # the member-whitened Gram, which both rank, has lambda_min on the threshold to within roundoff
     rng = np.random.default_rng(42)
     for _ in range(200):
-        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        family = _pinned_family(rng, k, n, int(rng.integers(k, k + 3)))
+        n, delta = int(rng.integers(1, 4)), float(rng.choice([-1e-13, 1e-13]))
+        rows = angle_pinned_rows(rng, n, int(rng.integers(2, 5)), delta, ("real", "complex")[rng.integers(2)])
+        family = ms.SignalFamily.from_coeffs(from_rows(rows, n))
         assert (ms.dependent_witness_search(family) is None) == ms.is_linearly_independent(family).independent
 
 
@@ -225,6 +235,17 @@ def test_null_space_aligned_search_finds_witnesses():
         if witness is not None and not ms.verify_independence_witness(family, witness):
             found += 1
     assert found >= 0.95 * cases
+
+
+@pytest.mark.parametrize("e", [-40, 0, 40])
+@pytest.mark.parametrize("kind", ["dependent", "degenerate"])
+def test_witness_certifies_a_scaled_family(kind, e):
+    # the whitened null vector scales as 2^-e; the witness is normalised, so the check's
+    # absolute zero test on the coefficients does not mistake it for the zero witness
+    family = ms.gen_random_family(3, 2, 6, 3, kind, field="complex")
+    scaled = ms.SignalFamily.from_coeffs(2.0**e * family.coeffs_array)
+    witness = ms.dependent_witness_search(scaled)
+    assert witness is not None and not ms.verify_independence_witness(scaled, witness)
 
 
 def test_search_returns_none_for_independent_family():
@@ -312,6 +333,18 @@ def test_witness_shape_validation():
         ms.verify_independence_witness(family, np.zeros((3, 2, 2)))
 
 
+@pytest.mark.parametrize("e", [16, 17, 20, 26])
+def test_scaling_a_member_keeps_the_verdict(e):
+    # an exact left multiplication by 2^e: the rank rule on the plain Gram R R^H would lose rank from e = 16
+    family = ms.gen_random_family(1, 2, 8, 3, "independent", field="real")
+    coeffs = family.coeffs_array.copy()
+    coeffs[0] *= 2.0**e
+    scaled = ms.SignalFamily.from_coeffs(coeffs, field="real")
+    report = ms.is_linearly_independent(scaled)
+    assert (report.independent, report.block_gram_rank, report.required_rank) == (True, 6, 6)
+    assert ms.is_orthonormal_set(ms.orthonormalize(scaled).ortho)
+
+
 def test_report_counts_near_dependence():
     rng = np.random.default_rng(19)
     f = random_signal(rng, 2, 3)
@@ -387,6 +420,12 @@ def test_analysis_matches_single_signal_functions(family, tol):
     assert analysis.gram.blocks.tobytes() == gram.blocks.tobytes()
     assert analysis.gram.assembled.tobytes() == gram.assembled.tobytes()
     assert analysis.independence == ms.is_linearly_independent(family, cfg)
+    if tol:  # Gram-Schmidt refuses exactly the dependent families; at tolerance 0 roundoff decides
+        if analysis.independence.independent:
+            ms.orthogonalize(family, cfg)
+        else:
+            with pytest.raises(ms.DegenerateStepError):
+                ms.orthogonalize(family, cfg)
     assert analysis.degenerate.tolist() == [ms.is_degenerate(f, cfg) for f in family]
     assert analysis.rows_dependent.tolist() == [ms.rows_linearly_dependent(f, cfg) for f in family]
     assert _bits(analysis.norm_m) == _bits([ms.norm_m(f) for f in family])

@@ -1,11 +1,13 @@
 """Lattice construction, determinant, enumeration and brute-force search."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import matsig as ms
+from matsig.core import to_rows
 
 
 def canonical_orthonormal_basis(k, n):
@@ -39,6 +41,30 @@ def test_determinant_matches_recomputed_orthogonalization():
     assert lattice.determinant == pytest.approx(expected, rel=1e-10)
     assert lattice.determinant > 0.0
     assert lattice.determinant == pytest.approx(float(np.prod(lattice.gs.step_norms)), rel=1e-10)
+
+
+def _permuted(basis, order):
+    return ms.SignalFamily.from_coeffs(basis.coeffs_array[list(order)], field="real")
+
+
+def _covolume(basis):
+    rows = to_rows(basis.coeffs_array)
+    return float(np.sqrt(np.linalg.det(rows @ rows.T)))
+
+
+def test_determinant_depends_on_the_basis_when_n_exceeds_one():
+    # the paper's determinant is a property of the basis, not of the lattice, once N > 1:
+    # reordering the members changes it, while sqrt(det R R^T) stays put
+    basis = real_basis(5, 3, 2, 8)
+    orders = ([0, 1, 2], [2, 0, 1], [1, 2, 0])
+    determinants = [ms.build_lattice(_permuted(basis, order)).determinant for order in orders]
+    assert determinants == pytest.approx([76.72, 87.53, 84.72], abs=0.005)
+    assert [_covolume(_permuted(basis, order)) for order in orders] == pytest.approx([1514.55] * 3, abs=0.005)
+    # for N = 1 every order gives sqrt(det G)
+    single = real_basis(5, 3, 1, 6)
+    assert _covolume(single) == pytest.approx(10.7005, abs=1e-4)
+    for order in itertools.permutations(range(3)):
+        assert ms.build_lattice(_permuted(single, order)).determinant == pytest.approx(_covolume(single), abs=1e-10)
 
 
 def test_build_rejects_complex_basis():
