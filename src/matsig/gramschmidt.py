@@ -39,6 +39,7 @@ from .core import (
     MatrixSignal,
     SignalFamily,
     ToleranceConfig,
+    _self_grams,
     check_same_shape,
     from_rows,
     inner_product,
@@ -90,8 +91,10 @@ def _factor(fam: SignalFamily, cfg: ToleranceConfig):
     dependent (with M < K, L is KN x MN), at the first member prefix it calls dependent.
     """
     k, n = fam.k, fam.n
-    q, upper = np.linalg.qr(to_rows(fam.coeffs_array).T)
-    report, whitened, _, _ = _independence_report(upper.T @ upper.conj(), k, cfg)
+    rows = to_rows(fam.coeffs_array)
+    q, upper = np.linalg.qr(rows.T)
+    self_grams = _self_grams(rows.reshape(k, n, -1))  # the bits is_degenerate forms, from the view QR factors
+    report, whitened, *_ = _independence_report(upper.T @ upper.conj(), self_grams, cfg)
     if not report.independent:
         prefixes = (j for j in range(1, k + 1) if rank_tol(whitened[: j * n, : j * n], cfg) < j * n)
         raise DegenerateStepError(next(prefixes, k) - 1, report)  # the whole family is the last prefix

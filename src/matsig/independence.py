@@ -18,9 +18,11 @@ test suite.
 
 analyze_family reads every family verdict off one block Gram R R^H, and every
 member verdict and norm off one pass over the (K, N, MN) stack of the members'
-row matrices; the single-signal functions are that pass at K = 1.  Every rank
-verdict, the witness functions' included, is the rank rule of
-``linalg.nonzero_eigenvalues``.
+row matrices; the single-signal functions are that pass at K = 1.  One
+eigen-solve of the self Grams <f_k, f_k> decides degeneracy and whitens the
+members for the independence verdict, so no family with a member called
+degenerate is called independent.  Every rank verdict, the witness functions'
+included, is the rank rule of ``linalg.nonzero_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from .core import (
     to_rows,
 )
 from .linalg import (
-    _eigenvectors,
-    _eigvalsh,
+    _eigh,
     nonzero_eigenvalues,
     null_space_basis,
     null_space_included,
@@ -107,7 +108,7 @@ def _rows_dependent(rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
 
 def is_degenerate(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when <f, f> is rank deficient at the configured tolerance."""
-    return bool(_degenerate(_eigvalsh(_self_grams(to_rows(f.coeffs)[None])), cfg)[0])
+    return bool(_degenerate(_eigh(_self_grams(to_rows(f.coeffs)[None]))[0], cfg)[0])
 
 
 def rows_linearly_dependent(f: MatrixSignal, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -122,9 +123,9 @@ def block_gram(fam: SignalFamily) -> BlockGram:
     return BlockGram(assembled.reshape(fam.k, fam.n, fam.k, fam.n).swapaxes(1, 2), assembled)
 
 
-def _independence_report(gram: np.ndarray, k: int, cfg: ToleranceConfig):
-    """The report on a K-member KN x KN block Gram, then ``whitened_rank``'s W, map back and gate deviation."""
-    rank, w, *rest = whitened_rank(gram, k, cfg)
+def _independence_report(gram: np.ndarray, self_grams: np.ndarray, cfg: ToleranceConfig):
+    """The report on a KN x KN block Gram, then the rest of ``whitened_rank``'s return."""
+    rank, w, *rest = whitened_rank(gram, self_grams, cfg)
     return (IndependenceReport(rank == gram.shape[0], rank, gram.shape[0], float(w[0])), *rest)
 
 
@@ -132,7 +133,7 @@ def is_linearly_independent(
     fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Rank test of the member-whitened block Gram matrix."""
-    return _independence_report(block_gram(fam).assembled, fam.k, cfg)[0]
+    return _independence_report(block_gram(fam).assembled, _self_grams(_member_rows(fam)), cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +159,10 @@ class FamilyAnalysis:
 def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> FamilyAnalysis:
     """Every family verdict, from one product R R^H and one stacked pass over the members.
 
-    The member pass takes the K self Grams, one eigen-solve of them (for both
-    degeneracy and the PSD margin), one QR and SVD, and the norms, each stacked
-    over K; ``is_degenerate``, ``rows_linearly_dependent``, ``norm_m`` and
-    ``norm_l2`` are its K = 1 case.  ``gram``, ``independence`` and
+    The member pass takes the K self Grams, one eigen-solve of them (for
+    degeneracy, the PSD margin and the independence verdict's whitening), one
+    QR and SVD, and the norms, each stacked over K; ``is_degenerate``,
+    ``rows_linearly_dependent``, ``norm_m`` and ``norm_l2`` are its K = 1 case.  ``gram``, ``independence`` and
     ``orthonormality_residual`` equal what ``block_gram``,
     ``is_linearly_independent`` and ``orthonormality_residual`` return.  A
     Gram that fails the Hermitian gate raises NotHermitianError.
@@ -169,10 +170,9 @@ def analyze_family(fam: SignalFamily, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     gram = block_gram(fam)
     _freeze(gram.blocks)
     assembled = _freeze(gram.assembled)
-    independence, _, _, deviation = _independence_report(assembled, fam.k, cfg)
     rows = _member_rows(fam)
     self_grams = _self_grams(rows)
-    w = _eigvalsh(self_grams)
+    independence, _, _, deviation, w = _independence_report(assembled, self_grams, cfg)
     norms_m, norms_l2 = _freeze(_norms_m(self_grams)), _freeze(_norms_l2(rows))
     lower, upper = fam.n**-0.25 * norms_l2 * (1 - NORM_EQUIV_SLACK), fam.n**0.5 * norms_l2 * (1 + NORM_EQUIV_SLACK)
     residual = gram_orthonormality_residual(assembled, fam.k)
@@ -207,14 +207,13 @@ def verify_independence_witness(
     f = linear_combination(fam, arr)
     gram = _self_grams(to_rows(f.coeffs)[None])  # <f, f>, formed as is_degenerate forms it
 
-    # "f = 0" needs an external scale: the combination of O(1) inputs that
-    # cancels to roundoff must count as zero even though its own largest
-    # eigenvalue is positive.
+    # "f = 0" is relative to the scale of its terms: a combination that cancels
+    # to roundoff counts as zero even though its own largest eigenvalue is
+    # positive, and it is the zero witness only when every F_k is exactly zero.
     coeff_scale = float(np.linalg.norm(arr, axis=(1, 2)).max())
     input_scale = float(_norms_m(_self_grams(_member_rows(fam))).max())
-    zero_scale = max(1.0, coeff_scale * input_scale)
-    if _norms_m(gram)[0] ** 2 <= cfg.rank_rel_tol * zero_scale**2:
-        return coeff_scale <= cfg.rank_rel_tol * max(1.0, coeff_scale)
+    if _norms_m(gram)[0] ** 2 <= cfg.rank_rel_tol * (coeff_scale * input_scale) ** 2:
+        return coeff_scale == 0.0
 
     # an empty null basis means <f, f> has full rank: the condition is vacuous
     null_b = null_space_basis(gram[0], cfg)
@@ -233,11 +232,11 @@ def dependent_witness_search(
     exactly a violating witness.  Returns the (K, N, N) coefficient stack, or
     None when is_linearly_independent says independent.
     """
-    report, whitened, back, _ = _independence_report(block_gram(fam).assembled, fam.k, cfg)
+    self_grams = _self_grams(_member_rows(fam))
+    report, whitened, back, _, _ = _independence_report(block_gram(fam).assembled, self_grams, cfg)
     if report.independent:
         return None
-    z = _eigenvectors(whitened)[:, 0].reshape(fam.k, fam.n, 1)
+    z = _eigh(whitened)[1][:, 0].reshape(fam.k, fam.n, 1)
     segments = (back @ z)[..., 0]
-    segments /= np.linalg.norm(segments)  # unit scale, as verify_independence_witness's zero test expects
     u = segments[np.argmax(np.linalg.norm(segments, axis=1))]
     return (u / np.linalg.norm(u))[:, None] * segments.conj()[:, None, :]

@@ -3,12 +3,13 @@
 A thin, carefully-toleranced layer over numpy's Hermitian eigendecomposition
 that holds the package's one rank rule (``nonzero_eigenvalues``): an eigenvalue
 counts as nonzero exactly when it exceeds rank_rel_tol * lambda_max, and none
-does when lambda_max <= 0.  Rank, null spaces, invertibility and degeneracy
-apply it to the eigenvalues of ``_eigvalsh`` (``_eigenvectors`` supplies vectors
-only), linear independence to those of the member-whitened block Gram
-(``whitened_rank``).  Every solve passes one Hermitian gate, the package's only
-Hermitian test: it measures ||P - P^H||_F, and turns an overflowed Gram (a NaN
-deviation) into NonFiniteError, not a numpy error.
+does when lambda_max <= 0.  Each matrix is eigen-solved once, by ``_eigh``:
+rank, null spaces, invertibility and degeneracy apply the rule to its values,
+linear independence to the spectrum of the member-whitened block Gram
+(``whitened_rank``, whitened by one ``_eigh`` of the members' self Grams).
+Every solve passes one Hermitian gate, the package's only Hermitian test: it
+measures ||P - P^H||_F, and turns an overflowed Gram (a NaN deviation) into
+NonFiniteError, not a numpy error.
 """
 
 from __future__ import annotations
@@ -52,14 +53,9 @@ def _hermitian_part(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (arr + adjoint) / 2.0, deviation
 
 
-def _eigenvectors(p) -> np.ndarray:
-    """Unitary eigenvectors of a square Hermitian matrix, in ascending order of eigenvalue."""
-    return np.linalg.eigh(_hermitian_part(_square_matrix(p))[0])[1]
-
-
-def _eigvalsh(p) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each in an (..., n, n) stack."""
-    return np.linalg.eigvalsh(_hermitian_part(np.asarray(p))[0])
+def _eigh(p) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and unitary eigenvectors of a Hermitian matrix, or of each in a stack."""
+    return np.linalg.eigh(_hermitian_part(np.asarray(p))[0])
 
 
 def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -72,22 +68,24 @@ def nonzero_eigenvalues(w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     return (top > 0) & (w > cfg.rank_rel_tol * top)
 
 
-def whitened_rank(gram: np.ndarray, k: int, cfg: ToleranceConfig):
-    """The independence verdict: the rank rule on the member-whitened Gram W of a K-member block Gram G.
+def whitened_rank(gram: np.ndarray, self_grams: np.ndarray, cfg: ToleranceConfig):
+    """The independence verdict: the rank rule on the member-whitened Gram W of a block Gram G.
 
-    With G gated and G_kk = U_k diag(lambda_k) U_k^H, W is the Hermitian part of
-    T G T^H, T = blockdiag(diag(mask_k lambda_k^(-1/2)) U_k^H), mask_k the rule on
-    lambda_k.  A degenerate member leaves a zero row in W; otherwise W has the
-    spectrum of B^-1 G B^-H, B = blockdiag(chol G_kk), a function of the angles
-    between the members' row spaces only, which scaling a member or multiplying
-    it on the left by an invertible matrix keeps.  W's leading principal
-    submatrices are the whitened Grams of the member prefixes.  Returns the
+    With G gated and the members' self Grams S_k = <f_k, f_k> (a (K, N, N) stack,
+    formed as is_degenerate forms them) = U_k diag(lambda_k) U_k^H, W is the
+    Hermitian part of T G T^H, T = blockdiag(diag(mask_k lambda_k^(-1/2)) U_k^H),
+    mask_k the rule on lambda_k.  A member is_degenerate calls degenerate leaves a
+    zero row in W; otherwise W has the spectrum of B^-1 G B^-H, B = blockdiag(chol S_k),
+    a function of the angles between the members' row spaces only, which scaling a
+    member or multiplying it on the left by an invertible matrix keeps.  W's leading
+    principal submatrices are the whitened Grams of the member prefixes.  Returns the
     rank, W's ascending eigenvalues, W, the (K, N, N) stack U_k diag(lambda_k^(-1/2))
-    (weight 1 off mask_k) mapping W's coordinates to G's, and the gate's ||G - G^H||_F.
+    (weight 1 off mask_k) mapping W's coordinates to G's, the gate's ||G - G^H||_F
+    and the (K, N) lambda_k.
     """
     hermitian, deviation = _hermitian_part(np.asarray(gram))
-    n = hermitian.shape[0] // k
-    lam, u = np.linalg.eigh(hermitian.reshape(k, n, k, n)[np.arange(k), :, np.arange(k)])
+    k, n = self_grams.shape[:2]
+    lam, u = _eigh(self_grams)
     mask = nonzero_eigenvalues(lam, cfg)
     back = u / np.sqrt(np.where(mask, lam, 1.0))[:, None, :]
     t = (back * mask[:, None, :]).conj().swapaxes(-1, -2)
@@ -95,7 +93,7 @@ def whitened_rank(gram: np.ndarray, k: int, cfg: ToleranceConfig):
     product = (rows.swapaxes(0, 1) @ t.conj().swapaxes(-1, -2)).swapaxes(0, 1).reshape(k * n, k * n)
     whitened = (product + product.conj().T) / 2.0
     w = np.linalg.eigvalsh(whitened)
-    return int(nonzero_eigenvalues(w, cfg).sum()), w, whitened, back, deviation
+    return int(nonzero_eigenvalues(w, cfg).sum()), w, whitened, back, deviation, lam
 
 
 def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -104,28 +102,26 @@ def herm_inv_sqrt(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     Raises SingularMatrixError exactly when rank_tol(P) < N; for a self-Gram
     <f, f> that means f is degenerate.
     """
-    arr = _square_matrix(p)
-    w = _eigvalsh(arr)
+    w, v = _eigh(_square_matrix(p))
     if not nonzero_eigenvalues(w, cfg).all():
         raise SingularMatrixError(
             f"matrix is singular at rank tolerance: eigenvalue range "
             f"[{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    v = _eigenvectors(arr)
     t = (v / np.sqrt(w)) @ v.conj().T
     return (t + t.conj().T) / 2.0
 
 
 def rank_tol(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above rank_rel_tol * lambda_max (0 for the zero matrix)."""
-    return int(nonzero_eigenvalues(_eigvalsh(_square_matrix(p)), cfg).sum())
+    return int(nonzero_eigenvalues(_eigh(_square_matrix(p))[0], cfg).sum())
 
 
 def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal columns spanning the (tolerant) null space of a Hermitian PSD matrix:
     the eigenvectors of its N - rank_tol(P) smallest eigenvalues."""
-    arr = _square_matrix(p)
-    return _eigenvectors(arr)[:, : arr.shape[0] - rank_tol(arr, cfg)]
+    w, v = _eigh(_square_matrix(p))
+    return v[:, ~nonzero_eigenvalues(w, cfg)]
 
 
 def null_space_included(a, null_p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -5,7 +5,10 @@ the CLI's error handling as a traceback.  The ``matsig`` namespace re-exports
 only names its modules list in ``__all__``, so a removal cannot leave a stale
 export behind.  Every eigen-solve goes through ``linalg``, whose Hermitian gate
 turns an overflowed Gram into NonFiniteError instead of a numpy LinAlgError,
-and that gate is the only Hermitian test.
+and that gate is the only Hermitian test.  There each matrix is solved once:
+one ``eigh``, in ``_eigh``, serves every verdict, null space, inverse square
+root and the member whitening, and one ``eigvalsh`` gives the whitened Gram's
+spectrum, so no member's degeneracy is decided by a second solve.
 No QR or SVD is handed a conjugate copy: the QR of R^T is R = L Q transposed,
 and its triangular factor has R's singular values, so the transpose serves,
 and the copy would cost a pass over the whole row matrix.  (The factors of R^T
@@ -56,6 +59,17 @@ def test_eigen_solves_only_in_linalg():
             if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
                 offences.append(f"{path.name}:{node.lineno}")
     assert not offences, f"eigen-solves outside linalg.py: {offences}"
+
+
+def test_linalg_has_one_eigh_and_one_eigvalsh():
+    # a second solve of a member's self Gram could call it degenerate where the first does not
+    linalg = next(path for path in SOURCES if path.name == "linalg.py")
+    calls = {"eigh": [], "eigvalsh": []}
+    for statement in ast.parse(linalg.read_text(), filename=str(linalg)).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in calls:
+                calls[node.func.attr].append(getattr(statement, "name", f"line {node.lineno}"))
+    assert calls == {"eigh": ["_eigh"], "eigvalsh": ["whitened_rank"]}, calls
 
 
 def test_hermitian_tolerance_only_in_linalg():
@@ -139,7 +153,7 @@ VERDICT_FUNCTIONS = {
     "is_orthonormal_set",
     "norm_m",
     "norm_l2",
-    "_eigvalsh",
+    "_eigh",
 }
 
 

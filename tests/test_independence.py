@@ -139,15 +139,21 @@ def test_witness_on_independent_family_with_full_rank_lead():
 
 
 def test_analytic_witness_defeats_scaled_copies():
-    # F_1 = B A^{-1}, F_2 = -I gives F_1 (A f) + F_2 (B f) = 0 with F != 0
+    # F_1 = B A^{-1}, F_2 = -I gives F_1 (A f) + F_2 (B f) = 0 with F != 0; a witness is
+    # one up to scale, so neither its scale nor the family's may turn it into the zero witness
     rng = np.random.default_rng(10)
     f = random_signal(rng, 2, 3)
     a, b = random_matrix(rng, 2), random_matrix(rng, 2)
-    family = ms.SignalFamily((ms.left_mul(a, f), ms.left_mul(b, f)))
-    coeffs = np.stack([b @ np.linalg.inv(a), -np.eye(2, dtype=complex)])
-    combo = ms.linear_combination(family, coeffs)
-    assert ms.norm_m(combo) <= 1e-10
-    assert not ms.verify_independence_witness(family, coeffs)
+    witness = np.stack([b @ np.linalg.inv(a), -np.eye(2, dtype=complex)])
+    for family_scale in (2.0**-300, 2.0**-100, 1.0, 2.0**100):
+        scaled = ms.scale(family_scale, f)
+        family = ms.SignalFamily((ms.left_mul(a, scaled), ms.left_mul(b, scaled)))
+        for coeff_scale in (2.0**-60, 1.0, 2.0**60):
+            coeffs = coeff_scale * witness
+            combo = ms.linear_combination(family, coeffs)
+            assert ms.norm_m(combo) <= 1e-10 * coeff_scale * family_scale
+            assert not ms.verify_independence_witness(family, coeffs), (coeff_scale, family_scale)
+        assert ms.verify_independence_witness(family, 0.0 * witness)  # the zero witness, at every scale
 
 
 def test_probes_agree_with_rank_verdict():
@@ -220,6 +226,38 @@ def test_witness_check_follows_is_degenerate_on_the_threshold():
         assert ms.verify_independence_witness(family, np.eye(n)[None]) == (not ms.is_degenerate(family[0]))
 
 
+def test_a_member_on_the_threshold_gets_one_verdict_from_every_caller():
+    # one member's self Gram has its smallest eigenvalue on the rank threshold to within roundoff;
+    # the independence verdict's member whitening reads the one eigen-solve is_degenerate reads,
+    # so a member it calls degenerate makes the family dependent, and Gram-Schmidt stops there
+    rng = np.random.default_rng(2026)
+    pinned_degenerate = 0
+    for _ in range(300):
+        k, n, field = int(rng.integers(1, 4)), int(rng.integers(2, 4)), ("real", "complex")[rng.integers(2)]
+        m, pinned = int(rng.integers(k, k + 3)), int(rng.integers(k))
+        rows = rng.standard_normal((k * n, m * n))
+        if field == "complex":
+            rows = rows + 1j * rng.standard_normal(rows.shape)
+        rows[pinned * n : (pinned + 1) * n] = pinned_rows(rng, n, m * n, field)
+        family = ms.SignalFamily.from_coeffs(from_rows(rows, n), field=field)
+        analysis = ms.analyze_family(family)
+        degenerate = [ms.is_degenerate(f) for f in family]
+        independent = analysis.independence.independent
+        pinned_degenerate += degenerate[pinned]
+        assert analysis.degenerate.tolist() == degenerate
+        assert not (any(degenerate) and independent)
+        if k == 1:
+            assert ms.is_linearly_independent(family).independent == (not degenerate[0])
+        try:
+            ms.orthonormalize(family)
+        except ms.DegenerateStepError as exc:
+            assert not independent
+            assert exc.step == pinned or not degenerate[pinned]
+        else:
+            assert independent
+    assert 50 <= pinned_degenerate <= 250  # the draws fall on both sides of the threshold
+
+
 def test_null_space_aligned_search_finds_witnesses():
     rng = np.random.default_rng(12)
     found = 0
@@ -240,8 +278,8 @@ def test_null_space_aligned_search_finds_witnesses():
 @pytest.mark.parametrize("e", [-40, 0, 40])
 @pytest.mark.parametrize("kind", ["dependent", "degenerate"])
 def test_witness_certifies_a_scaled_family(kind, e):
-    # the whitened null vector scales as 2^-e; the witness is normalised, so the check's
-    # absolute zero test on the coefficients does not mistake it for the zero witness
+    # the whitened null vector, and so the witness, scales as 2^-e; the check's zero
+    # test is relative to the coefficients' scale, so it does not take it for the zero witness
     family = ms.gen_random_family(3, 2, 6, 3, kind, field="complex")
     scaled = ms.SignalFamily.from_coeffs(2.0**e * family.coeffs_array)
     witness = ms.dependent_witness_search(scaled)

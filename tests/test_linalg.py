@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import matsig as ms
-from matsig.linalg import _eigvalsh
+from matsig.linalg import _eigh
 from helpers import pinned_rows, random_psd, random_unitary
 
 
@@ -138,9 +138,12 @@ def test_stacked_eigenvalues_gate_each_matrix():
     rng = np.random.default_rng(5)
     stack = np.stack([random_psd(rng, 3), 1e6 * random_psd(rng, 3)])
     symmetrized = (stack + stack.conj().swapaxes(1, 2)) / 2
-    expected = [np.linalg.eigvalsh(p) for p in symmetrized]
-    np.testing.assert_array_equal(_eigvalsh(stack), expected)
+    # each matrix of the stack is solved as on its own, values and vectors bit for bit
+    for w, v, p in zip(*_eigh(stack), symmetrized):
+        expected_w, expected_v = np.linalg.eigh(p)
+        np.testing.assert_array_equal(w, expected_w)
+        np.testing.assert_array_equal(v, expected_v)
     # a skew part far below the large matrix's scale still fails its own, small matrix
     stack[0, 0, 1] += 1e-6
     with pytest.raises(ms.NotHermitianError):
-        _eigvalsh(stack)
+        _eigh(stack)
