@@ -127,9 +127,9 @@ def null_space_basis(p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray
 def null_space_included(a, null_p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when null(P) (given by its orthonormal basis) lies inside null(A^H).
 
-    Tests ||A^H u||_2 <= rank_rel_tol * max(1, ||A||_F) for every basis column
-    u.  An empty basis (full-rank P) is vacuously included; A = 0 absorbs
-    everything.
+    Tests ||A^H u||_2 <= rank_rel_tol * ||A||_F for every basis column u, a
+    bound relative to A, so scaling A does not change the answer.  An empty
+    basis (full-rank P) is vacuously included; A = 0 absorbs everything.
     """
     arr = _square_matrix(a)
     basis = np.asarray(null_p)
@@ -140,5 +140,5 @@ def null_space_included(a, null_p, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
             f"null basis shape {basis.shape} incompatible with {arr.shape[0]}x{arr.shape[0]} matrix"
         )
     images = arr.conj().T @ basis
-    bound = cfg.rank_rel_tol * max(1.0, np.linalg.norm(arr))
+    bound = cfg.rank_rel_tol * np.linalg.norm(arr)
     return bool(np.all(np.linalg.norm(images, axis=0) <= bound))

@@ -3,10 +3,12 @@
 The scalar basis is made concrete here: orthonormalized Legendre polynomials
 on (-1, 1).  Signals are synthesized pointwise on a Gauss-Legendre grid and
 integrated by quadrature.  The Gram-Schmidt oracle runs the classical block
-recursion signal by signal.  Nothing below shares code with the package
-internals, so agreement is a genuine two-route check.
+recursion signal by signal, and the nearest-point oracle scores the lattice
+box one coefficient stack at a time.  Nothing below shares code with the
+package internals, so agreement is a genuine two-route check.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -99,3 +101,32 @@ def classical_block_gram_schmidt(family_coeffs, rank_rel_tol: float = 1e-10):
         ortho[k] = np.einsum("ij,mjl->mil", (v / np.sqrt(w)) @ v.conj().T, hat)
         step_norms[k] = np.sqrt(np.linalg.norm(gram))
     return ortho, residuals, mu, step_norms, None
+
+
+def _rows(coeffs: np.ndarray) -> np.ndarray:
+    """N x MN rows of an (M, N, N) signal, KN x MN rows of a (K, M, N, N) stack."""
+    m, n = coeffs.shape[-3], coeffs.shape[-1]
+    return coeffs.swapaxes(-3, -2).reshape(-1, m * n)
+
+
+def stack_distance(basis_coeffs, target_coeffs, stack) -> float:
+    """||(T - C R)(T - C R)^H||_F^(1/2) for one integer (K, N, N) stack, C its N x KN rows."""
+    diff = _rows(np.asarray(target_coeffs)) - _rows(np.asarray(stack)) @ _rows(np.asarray(basis_coeffs))
+    return float(np.sqrt(np.linalg.norm(diff @ diff.conj().T)))
+
+
+def box_stacks(k: int, n: int, bound: int):
+    """Every int64 (K, N, N) stack with entries in [-bound, bound], lexicographically."""
+    for flat in itertools.product(range(-bound, bound + 1), repeat=k * n * n):
+        yield np.array(flat, dtype=np.int64).reshape(k, n, n)
+
+
+def brute_force_nearest(basis_coeffs, target_coeffs, bound: int):
+    """The box stack closest to the target, scored stack by stack, and its distance.
+
+    ``min`` keeps the first of equal distances, so ties go to the
+    lexicographically earliest stack.
+    """
+    k, _, n, _ = np.shape(basis_coeffs)
+    best = min(box_stacks(k, n, bound), key=lambda stack: stack_distance(basis_coeffs, target_coeffs, stack))
+    return best, stack_distance(basis_coeffs, target_coeffs, best)

@@ -369,16 +369,22 @@ def test_overflowing_file_prints_one_error_line(tmp_path):
     [
         (("analyze", "{file}", "--format", "json"), (2, 8, 3), 1e80),
         (("lattice", "det", "{file}", "--format", "json"), (2, 16, 8), 1e50),
+        (("lattice", "nearest", "{file}", "--target", "{target}", "--bound", "1", "--format", "json"), (2, 4, 2), 1.0),
+        (("lattice", "nearest", "{file}", "--target", "{target}", "--bound", "1", "--format", "text"), (2, 4, 2), 1.0),
     ],
-    ids=["analyze-norm_m", "lattice-determinant"],
+    ids=["analyze-norm_m", "lattice-determinant", "lattice-nearest-json", "lattice-nearest-text"],
 )
 def test_non_finite_report_exits_two(tmp_path, capsys, argv, dims, scale):
-    # finite files whose report overflows: ||<f, f>||_F ~ 1e320, and eight step norms ~ 5e50 multiplied
+    # finite files whose report overflows: ||<f, f>||_F ~ 1e320, eight step norms ~ 5e50 multiplied,
+    # and ||(T - C R)(T - C R)^T||_F ~ 1e320 at every box point for the target 1e160 * ones
     family = ms.gen_random_family(1, *dims, "independent", field="real")
     path = tmp_path / "scaled.json"
     ms.save_family(path, ms.SignalFamily.from_coeffs(scale * family.coeffs_array, field="real"))
+    target = tmp_path / "target.json"
+    n, m, _ = dims
+    ms.save_family(target, ms.SignalFamily.from_coeffs(1e160 * np.ones((1, m, n, n)), field="real"))
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, *(arg.format(file=path) for arg in argv))
+        code, out, err = run(capsys, *(arg.format(file=path, target=target) for arg in argv))
     assert code == 2
     assert out == ""  # no partial report, so no Infinity either
     assert "Traceback" not in err

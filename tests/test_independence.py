@@ -156,6 +156,17 @@ def test_analytic_witness_defeats_scaled_copies():
         assert ms.verify_independence_witness(family, 0.0 * witness)  # the zero witness, at every scale
 
 
+def test_witness_on_a_degenerate_member_fails_at_every_scale():
+    # F_k = s I on a degenerate member f_k (every other F_l = 0) gives f = s f_k, degenerate,
+    # while F_k^H = s I annihilates no null direction of <f, f>: a violation for every s != 0
+    family = ms.gen_random_family(3, 2, 6, 3, "degenerate", field="complex")
+    k = [ms.is_degenerate(f) for f in family].index(True)
+    for exponent in range(-60, 61, 10):
+        coeffs = np.zeros((3, 2, 2), dtype=complex)
+        coeffs[k] = 2.0**exponent * np.eye(2)
+        assert not ms.verify_independence_witness(family, coeffs), exponent
+
+
 def test_probes_agree_with_rank_verdict():
     rng = np.random.default_rng(11)
     total = 0

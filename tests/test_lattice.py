@@ -2,12 +2,15 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import matsig as ms
+import matsig.lattice as lattice_module
 from matsig.core import to_rows
+from oracles import box_stacks, brute_force_nearest, stack_distance
 
 
 def canonical_orthonormal_basis(k, n):
@@ -296,3 +299,73 @@ def test_nearest_point_matches_scan_oracle_matrix_coefficients():
         oracle_key, oracle_distance = _scan_oracle(lattice, target, 1)
         assert distance == pytest.approx(oracle_distance, rel=1e-12)
         np.testing.assert_array_equal(point.coeffs, oracle_key)
+
+
+def _unit_basis(k, n):
+    """The integer basis f_j = e_j I_N (M = K), whose row matrix R is the identity."""
+    return ms.SignalFamily.from_coeffs(np.einsum("jm,ab->jmab", np.eye(k), np.eye(n)), field="real")
+
+
+def _oracle_cases():
+    """(basis, target coefficients, bound, whether several stacks tie exactly at the minimum)."""
+    rng = np.random.default_rng(50)
+    for n, m, k, bound in [(1, 3, 2, 2), (1, 4, 3, 1), (2, 4, 2, 1), (3, 2, 1, 1)]:
+        basis = real_basis(50 + n, k, n, m)
+        for scale in (0.5, 3.0):
+            yield basis, scale * rng.standard_normal((m, n, n)), bound, False
+    for n, k in [(1, 3), (2, 1), (2, 2), (3, 1)]:
+        # T - C R has entries +-1/2 at every stack of zeros and ones: exact distances, many equal
+        yield _unit_basis(k, n), np.full((k, n, n), 0.5), 1, True
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_chunked_scan_matches_per_stack_oracle(monkeypatch, case):
+    basis, target_coeffs, bound, tied = list(_oracle_cases())[case]
+    lattice = ms.build_lattice(basis)
+    target = ms.MatrixSignal(target_coeffs)
+    oracle_key, oracle_distance = brute_force_nearest(basis.coeffs_array, target_coeffs, bound)
+    ties = [
+        index
+        for index, stack in enumerate(box_stacks(lattice.k, lattice.n, bound))
+        if tied and stack_distance(basis.coeffs_array, target_coeffs, stack) == oracle_distance
+    ]
+    width, size = 2 * bound + 1, lattice.n * basis.m * lattice.n
+    for trailing in (0, 1, 2, None):  # blocks of width^trailing stacks, or the default size
+        if trailing is not None:
+            monkeypatch.setattr(lattice_module, "_BLOCK_FLOATS", size * width**trailing)
+            assert not tied or len({index // width**trailing for index in ties}) > 1  # ties straddle blocks
+        point, distance = lattice.nearest_point(target, bound)
+        np.testing.assert_array_equal(point.coeffs, oracle_key)
+        assert distance == oracle_distance
+
+
+def test_chunked_enumeration_is_the_lexicographic_box(monkeypatch):
+    lattice = ms.build_lattice(real_basis(51, 2, 1, 3))
+    expected = [stack.tolist() for stack in box_stacks(2, 1, 2)]
+    for block_floats in (1, 3 * 5, 3 * 25):  # 3 floats of T - C R per stack: blocks of 1, 5 and 25 stacks
+        monkeypatch.setattr(lattice_module, "_BLOCK_FLOATS", block_floats)
+        assert [p.coeffs.tolist() for p in lattice.enumerate_points(2)] == expected
+
+
+def test_nearest_point_memory_is_bounded_by_the_block():
+    # bound 2 at (N, M, K) = (2, 4, 2) scores 5^8 = 390,625 stacks; bound 1 scores 6,561
+    rng = np.random.default_rng(52)
+    lattice = ms.build_lattice(real_basis(52, 2, 2, 4))
+    target = ms.MatrixSignal(3.0 * rng.standard_normal((4, 2, 2)))
+    peaks = []
+    for bound in (1, 2):
+        tracemalloc.start()
+        try:
+            lattice.nearest_point(target, bound)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 * 2**20
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_overflowing_nearest_distance_raises():
+    # ||(T - C R)(T - C R)^T||_F ~ 1e320 at every box point: no finite distance to report
+    lattice = ms.build_lattice(real_basis(53, 2, 2, 4))
+    with pytest.raises(ms.NonFiniteError, match="overflowed"):
+        lattice.nearest_point(ms.MatrixSignal(1e160 * np.ones((4, 2, 2))), 1)

@@ -120,6 +120,10 @@ def test_null_space_included_cases():
     # A^H annihilates e2 exactly when A's second row vanishes
     a = np.array([[1.0, 2.0], [0.0, 0.0]])
     assert ms.null_space_included(a, e2)
+    # the test is relative to ||A||_F: no scale of A turns a violation into an inclusion
+    for exponent in range(-60, 61, 10):
+        assert not ms.null_space_included(2.0**exponent * np.eye(2), e2), exponent
+        assert ms.null_space_included(2.0**exponent * a, e2), exponent
 
 
 def test_rank_tol_requires_hermitian():
